@@ -50,8 +50,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the shared trace cache; colder streams spill to disk (0 = default, negative = no caching)")
-		setWorkers      = flag.Int("set-workers", 0, "shard each cache replay by set index across this many goroutines (0 = sequential)")
+		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the shared trace cache; evicted streams are rebuilt on demand (0 = default, negative = no caching)")
 
 		ckptPath    = flag.String("checkpoint", "", "record completed work units to this JSON file (atomic rewrite)")
 		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical)")
@@ -90,7 +89,6 @@ func main() {
 		code := distrun.WorkerMain(os.Stdin, os.Stdout, stop, func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		})
-		experiment.CleanupTraceSpill()
 		os.Exit(code)
 	}
 
@@ -124,8 +122,6 @@ func main() {
 	opts.UnitTimeout = *unitTimeout
 	opts.UnitRetries = *unitRetries
 	opts.TraceBytes = *traceCacheBytes
-	opts.SetWorkers = *setWorkers
-	defer experiment.CleanupTraceSpill()
 
 	if *resume && *ckptPath == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")

@@ -14,7 +14,7 @@
 //     (see the bcachelint oraclepair manifest), not as tracked rows.
 //  2. Wall-clock for the full registered experiment suite — what
 //     `cmd/experiments` runs — plus the shared trace cache's hit/miss
-//     counters, resident peak, and spill-tier size for that pass.
+//     counters and resident peak for that pass.
 //
 // With -compare it instead replays only the kernels and checks them
 // against a committed baseline, exiting non-zero if any kernel's
@@ -76,9 +76,6 @@ type SuiteResult struct {
 	// cache across the pass — the number the 256 MB memory ceiling
 	// (`make mem-ceiling`) gates on.
 	TraceBytes int64 `json:"traceCacheBytes"`
-	// TraceSpillBytes is what the spill tier held on disk when the pass
-	// finished.
-	TraceSpillBytes int64 `json:"traceCacheSpillBytes"`
 }
 
 // Baseline is the BENCH_perf.json document.
@@ -209,9 +206,9 @@ func main() {
 		os.Exit(1)
 	}
 	doc.Suite = suite
-	fmt.Printf("suite: %d experiments, %d rows in %.2fs (trace cache: %d hits / %d misses, peak %d MB resident, %d MB spilled)\n",
+	fmt.Printf("suite: %d experiments, %d rows in %.2fs (trace cache: %d hits / %d misses, peak %d MB resident)\n",
 		suite.Experiments, suite.Rows, suite.Seconds, suite.TraceHits, suite.TraceMisses,
-		suite.TraceBytes>>20, suite.TraceSpillBytes>>20)
+		suite.TraceBytes>>20)
 
 	f, err := os.Create(*outPath)
 	if err != nil {
@@ -250,7 +247,7 @@ func checkMemCeiling(path string) error {
 		return fmt.Errorf("%s: no suite pass recorded (suite.traceCacheBytes is 0); regenerate with `make bench-perf-json`", path)
 	}
 	if base.Suite.TraceBytes > memBudgetBytes {
-		return fmt.Errorf("suite resident trace-cache peak %d MB exceeds the %d MB budget (%s); retune the eviction tiers or -trace-cache-bytes",
+		return fmt.Errorf("suite resident trace-cache peak %d MB exceeds the %d MB budget (%s); lower -trace-cache-bytes",
 			base.Suite.TraceBytes>>20, int64(memBudgetBytes)>>20, path)
 	}
 	fmt.Printf("suite resident trace-cache peak %d MB within the %d MB budget (%s)\n",
@@ -330,7 +327,6 @@ func suiteRun(n uint64) (SuiteResult, error) {
 	experiment.ResetTraceCache()
 	experiment.ResetTimedCache()
 	experiment.ResetUnitMemo()
-	defer experiment.CleanupTraceSpill()
 	rows := 0
 	exps := experiment.All()
 	start := time.Now()
@@ -346,13 +342,12 @@ func suiteRun(n uint64) (SuiteResult, error) {
 	secs := time.Since(start).Seconds()
 	tc := experiment.TraceCacheStats()
 	return SuiteResult{
-		Instructions:    n,
-		Experiments:     len(exps),
-		Rows:            rows,
-		Seconds:         secs,
-		TraceHits:       tc.Hits,
-		TraceMisses:     tc.Misses,
-		TraceBytes:      tc.PeakBytes,
-		TraceSpillBytes: tc.SpillBytes,
+		Instructions: n,
+		Experiments:  len(exps),
+		Rows:         rows,
+		Seconds:      secs,
+		TraceHits:    tc.Hits,
+		TraceMisses:  tc.Misses,
+		TraceBytes:   tc.PeakBytes,
 	}, nil
 }

@@ -106,6 +106,8 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 			return fmt.Sprintf("fault/%s/MF%d-BAS%d-r%g-%s",
 				profiles[i%len(profiles)].Name, r.mf, r.bas, r.rate, r.prot)
 		},
+		// Every row of one profile replays its data stream.
+		Group: func(i int) int { return i % len(profiles) },
 	}
 	err = runUnitsCtl(len(cells), opts.workers(), uo, func(i int) (func(), error) {
 		r := rows[i/len(profiles)]

@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -44,10 +45,10 @@ func TestTraceCacheSingleflight(t *testing.T) {
 		}
 	}
 	c := TraceCacheStats()
-	// One data-trace build plus the record trace it extracts from (the
-	// fetch byproduct is published, not missed).
-	if c.Misses != 2 || c.Hits != callers-1 || c.Generations != 1 {
-		t.Fatalf("counters = %+v, want 2 misses, %d hits, 1 generation", c, callers-1)
+	// One build — a single generator pass, whose fetch sibling is filled
+	// alongside without a miss of its own — and every other caller hits.
+	if c.Misses != 1 || c.Hits != callers-1 || c.Generations != 1 {
+		t.Fatalf("counters = %+v, want 1 miss, %d hits, 1 generation", c, callers-1)
 	}
 	if c.Bytes < traces[0].sizeBytes() {
 		t.Fatalf("accounted %d bytes, access trace alone holds %d", c.Bytes, traces[0].sizeBytes())
@@ -80,19 +81,21 @@ func TestTraceCacheKeying(t *testing.T) {
 		t.Fatal("different instruction count shared the trace")
 	}
 	c := TraceCacheStats()
-	// Three distinct data keys, each over its own record trace.
-	if c.Misses != 6 || c.Hits != 1 || c.Generations != 3 {
-		t.Fatalf("counters = %+v, want 6 misses, 1 hit, 3 generations", c)
+	// Three distinct data keys, one generator pass each.
+	if c.Misses != 3 || c.Hits != 1 || c.Generations != 3 {
+		t.Fatalf("counters = %+v, want 3 misses, 1 hit, 3 generations", c)
 	}
 }
 
-// TestTraceCacheEviction: a budget below the working set evicts LRU
-// entries to spill files, the accounting follows, and an evicted trace
-// comes back from disk — bit-identical — without rerunning the
-// generator.
+// TestTraceCacheEviction: a budget below the working set drops the
+// least recently used entries, the accounting follows, and an evicted
+// trace comes back as a fresh generator pass bit-identical to the
+// original. Nothing is written to disk.
 func TestTraceCacheEviction(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	opts := tinyOpts()
 	p, err := workload.ByName("gcc")
 	if err != nil {
@@ -102,36 +105,46 @@ func TestTraceCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.TraceBytes = a1.sizeBytes() + a1.sizeBytes()/2 // below the record trace's size
+	// Room for one (data, fetch) pair and a half: the next pair must
+	// evict the first.
+	pair := TraceCacheStats().Bytes
+	opts.TraceBytes = pair + pair/2
 	if _, err := cachedData(opts, withSeed(p, 1)); err != nil {
 		t.Fatal(err)
 	}
 	c := TraceCacheStats()
-	if c.Evictions == 0 || c.Spills == 0 {
-		t.Fatalf("no spill under tight budget: %+v", c)
+	if c.Evictions == 0 {
+		t.Fatalf("no eviction under tight budget: %+v", c)
 	}
 	if c.Bytes > opts.TraceBytes {
 		t.Fatalf("cache holds %d bytes over budget %d", c.Bytes, opts.TraceBytes)
 	}
-	if c.SpillBytes == 0 {
-		t.Fatalf("spilled entries report no disk bytes: %+v", c)
+	sharedTraces.mu.Lock()
+	_, resident := sharedTraces.entries[dataTraceKey(opts, p)]
+	sharedTraces.mu.Unlock()
+	if resident {
+		t.Fatal("the least recently used data stream survived eviction")
 	}
-	// The canonical trace was evicted; re-requesting it reloads the
-	// spill file instead of regenerating the stream.
-	gens := c.Generations
+	// Re-requesting the evicted trace rebuilds it from the generator.
 	a2, err := cachedData(opts, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = TraceCacheStats()
-	if c.Reloads == 0 {
-		t.Fatalf("evicted trace was not reloaded from disk: %+v", c)
+	after := TraceCacheStats()
+	if after.Misses != c.Misses+1 || after.Generations != c.Generations+1 {
+		t.Fatalf("evicted trace was not rebuilt once: before %+v, after %+v", c, after)
 	}
-	if c.Generations != gens {
-		t.Fatalf("reload reran the generator (%d generations, want %d)", c.Generations, gens)
+	if a2 == a1 {
+		t.Fatal("evicted trace came back as the same instance")
 	}
 	if !reflect.DeepEqual(a1, a2) {
-		t.Fatal("reloaded trace differs from the original")
+		t.Fatal("rebuilt trace differs from the original")
+	}
+	if after.Bytes > opts.TraceBytes {
+		t.Fatalf("cache holds %d bytes over budget %d after the rebuild", after.Bytes, opts.TraceBytes)
+	}
+	if spills, _ := filepath.Glob(filepath.Join(tmp, "bcache-tracespill-*")); len(spills) != 0 {
+		t.Fatalf("eviction wrote to disk: %q", spills)
 	}
 }
 
@@ -183,11 +196,11 @@ func TestSuiteZeroDuplicateGeneration(t *testing.T) {
 	if c.Generations != want {
 		t.Fatalf("generated %d streams, want %d (duplicate generation)", c.Generations, want)
 	}
-	// One data build and one record build per distinct key, nothing
-	// more: the iSide round's fetch streams were published as byproducts
-	// of the dSide builds, so they hit instead of missing.
-	if c.Misses != 2*want {
-		t.Fatalf("built %d entries, want %d (duplicate builds)", c.Misses, 2*want)
+	// One build per distinct key, nothing more: the iSide round's fetch
+	// streams were filled by the dSide builds, so they hit instead of
+	// missing.
+	if c.Misses != want {
+		t.Fatalf("built %d entries, want %d (duplicate builds)", c.Misses, want)
 	}
 	if c.Hits == 0 {
 		t.Fatal("cache recorded no hits across repeated suite runs")

@@ -13,7 +13,6 @@ import (
 	"bcache/internal/energy"
 	"bcache/internal/rng"
 	"bcache/internal/stackdist"
-	"bcache/internal/trace"
 	"bcache/internal/victim"
 	"bcache/internal/workload"
 )
@@ -51,12 +50,6 @@ type Opts struct {
 	// profile. The replay path is the differential oracle the profiler
 	// is tested against; results are bit-identical either way.
 	DisableStackDist bool
-	// SetWorkers, when above 1, shards each set-associative replay unit
-	// by set index across up to that many goroutines
-	// (cache.ReplayShards). Results are bit-identical to sequential
-	// replay; the knob only trades cores for unit latency when there are
-	// fewer runnable units than cores.
-	SetWorkers int
 }
 
 // DefaultOpts returns the scale used for EXPERIMENTS.md.
@@ -111,47 +104,9 @@ func withSeed(p *workload.Profile, k int) *workload.Profile {
 	return &q
 }
 
-// memAcc is one data-cache access — the cache package's replayable
-// stream element, so set-sharded replay (cache.ReplayShards) can consume
-// a materialized trace without conversion.
+// memAcc is one data-cache access: the cache package's packed
+// address-plus-direction word, 8 bytes per stream element.
 type memAcc = cache.MemAccess
-
-// accessTrace is a benchmark's address streams, materialized once and
-// replayed against every cache configuration.
-type accessTrace struct {
-	name  string
-	suite string
-	// data holds the D-cache accesses in program order.
-	data []memAcc
-	// fetch holds the I-cache accesses: one per executed basic-block
-	// line (consecutive same-line PCs collapse, matching the CPU model).
-	fetch []addr.Addr
-}
-
-// materialize runs the generator for n instructions and extracts the
-// cache-visible address streams.
-func materialize(p *workload.Profile, n uint64, lineBytes int) (*accessTrace, error) {
-	g, err := workload.New(p)
-	if err != nil {
-		return nil, err
-	}
-	at := &accessTrace{name: p.Name, suite: p.Suite}
-	at.data = make([]memAcc, 0, n/3)
-	at.fetch = make([]addr.Addr, 0, n/4)
-	lineMask := ^addr.Addr(uint64(lineBytes) - 1)
-	curLine := ^addr.Addr(0)
-	for i := uint64(0); i < n; i++ {
-		rec, _ := g.Next()
-		if line := rec.PC & lineMask; line != curLine {
-			curLine = line
-			at.fetch = append(at.fetch, rec.PC)
-		}
-		if rec.Kind.IsMem() {
-			at.data = append(at.data, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
-		}
-	}
-	return at, nil
-}
 
 // Spec is a buildable L1 cache configuration.
 type Spec struct {
@@ -287,29 +242,6 @@ func replayFetch(fetch []addr.Addr, c cache.Cache) {
 	}
 }
 
-// replayWorkersData drives a data stream through c, sharding the replay
-// by set index across up to setWorkers goroutines when c supports it
-// (see cache.ReplayShards); results are bit-identical to replayData
-// either way. setWorkers <= 1 always replays sequentially.
-func replayWorkersData(data []memAcc, c cache.Cache, setWorkers int) {
-	if setWorkers > 1 {
-		if sa, ok := c.(*cache.SetAssoc); ok && sa.ReplayShards(data, nil, setWorkers) {
-			return
-		}
-	}
-	replayData(data, c)
-}
-
-// replayWorkersFetch is replayWorkersData for the fetch side.
-func replayWorkersFetch(fetch []addr.Addr, c cache.Cache, setWorkers int) {
-	if setWorkers > 1 {
-		if sa, ok := c.(*cache.SetAssoc); ok && sa.ReplayShards(nil, fetch, setWorkers) {
-			return
-		}
-	}
-	replayFetch(fetch, c)
-}
-
 // missRun is the result of one (benchmark, spec) miss-rate run,
 // aggregated over seeds as raw event counts.
 type missRun struct {
@@ -412,13 +344,13 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (U
 		if err != nil {
 			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		replayWorkersData(dt.accs, c, opts.SetWorkers)
+		replayData(dt.accs, c)
 	case iSide:
 		ft, err := cachedFetch(opts, withSeed(p, k))
 		if err != nil {
 			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		replayWorkersFetch(ft.pcs, c, opts.SetWorkers)
+		replayFetch(ft.pcs, c)
 	}
 	st := c.Stats()
 	u := UnitResult{Misses: st.Misses, Accesses: st.Accesses}
@@ -545,6 +477,8 @@ func missRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) (m
 			}
 			return fmt.Sprintf("%s/lru-profile/seed%d", profiles[j.pi].Name, j.k)
 		},
+		// Every job of one (profile, seed) replays the same trace.
+		Group: func(i int) int { return jobs[i].pi*seeds + jobs[i].k },
 	}
 	tel := CurrentTelemetry()
 	err := runUnitsCtl(len(jobs), opts.workers(), uo, func(i int) (func(), error) {

@@ -24,9 +24,9 @@ import (
 //     results are committed only via a closure the worker itself invokes
 //     on receipt) and retried with exponential backoff, as are units
 //     failing with ErrTransient.
-//   - No cancel-on-first-error: workers keep draining the unit counter
-//     after a failure, so one bad (benchmark, spec) pair costs one cell,
-//     not the whole table. All errors come back via errors.Join alongside
+//   - No cancel-on-first-error: workers keep claiming units after a
+//     failure, so one bad (benchmark, spec) pair costs one cell, not the
+//     whole table. All errors come back via errors.Join alongside
 //     whatever results completed.
 //
 // RequestStop (wired to SIGINT in the CLIs) is the one thing that stops
@@ -83,6 +83,11 @@ type unitOpts struct {
 	// digest. Only called when a telemetry hub is installed, so label
 	// formatting costs nothing on unobserved runs.
 	Label func(i int) string
+	// Group names the trace unit i replays: units with equal values
+	// share one trace, and the claimer keeps a worker on its group (see
+	// groupClaimer). nil makes every unit its own group, which claims in
+	// index order.
+	Group func(i int) int
 }
 
 func (o unitOpts) backoff() time.Duration {
@@ -107,10 +112,11 @@ func (o unitOpts) label(i int) string {
 }
 
 // runUnitsCtl executes fn(i) for every i in [0, n) on up to workers
-// goroutines pulling from a shared atomic counter. Work units should be
+// goroutines claiming units through a groupClaimer. Work units should be
 // the finest independent grain available — (profile × spec × seed)
 // rather than whole profiles — so a run with fewer benchmarks than cores
-// still saturates the machine.
+// still saturates the machine; o.Group tells the claimer which of them
+// share a trace.
 //
 // fn returns (commit, error). On success the worker invokes commit (if
 // non-nil) from its own goroutine — that is the only path results may
@@ -130,8 +136,8 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	}
 	tel := CurrentTelemetry()
 	tel.runQueued(n)
+	claims := newGroupClaimer(n, o.Group)
 	var (
-		next        atomic.Int64
 		interrupted atomic.Bool
 		mu          sync.Mutex
 		errs        []error
@@ -142,15 +148,17 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			group := -1
 			for {
 				if stopRequested.Load() {
 					interrupted.Store(true)
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i, g, ok := claims.claim(group)
+				if !ok {
 					return
 				}
+				group = g
 				tel.unitClaimed()
 				err := runOneUnit(w, i, o, tel, fn)
 				tel.unitReleased()
@@ -169,10 +177,8 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	}
 	wg.Wait()
 	// A stop request leaves units unclaimed; take them back out of the
-	// queue-depth gauge. next counts claim attempts, so cap it at n.
-	if claimed := int(next.Load()); claimed < n {
-		tel.runDrained(n - claimed)
-	}
+	// queue-depth gauge.
+	tel.runDrained(n - claims.claimedCount())
 	if dropped > 0 {
 		errs = append(errs, fmt.Errorf("experiment: %d further unit failures elided", dropped))
 	}
@@ -180,6 +186,89 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 		errs = append(errs, ErrInterrupted)
 	}
 	return errors.Join(errs...)
+}
+
+// groupClaimer hands out unit indices so that workers do not share a
+// trace while another trace still waits to be built. The experiments
+// replay each trace against many configurations; when two workers claim
+// units of the same trace at once, one of them sits blocked on the
+// other's build. The claim rule:
+//
+//  1. a worker continues its own group while that group has units left;
+//  2. otherwise it opens the next group nobody has opened (groups open
+//     in the order of their first unit index);
+//  3. once every group is open, it joins the open group with the most
+//     unclaimed units (ties go to the earlier group).
+//
+// Each claim returns one unit, so commits, retries, deadlines and panic
+// isolation stay per unit; only the claim order follows the groups.
+type groupClaimer struct {
+	mu sync.Mutex
+	// groups lists each group's unit indices in index order, groups in
+	// the order of their first unit; immutable after construction.
+	groups [][]int
+	next   []int // guarded by mu: per group, how many of its units are claimed
+	opened int   // guarded by mu: groups opened so far
+	taken  int   // guarded by mu: units claimed so far
+}
+
+// newGroupClaimer groups units [0, n) by group(i); nil puts every unit
+// in its own group.
+func newGroupClaimer(n int, group func(int) int) *groupClaimer {
+	c := &groupClaimer{}
+	dense := map[int]int{} // group value -> index into c.groups
+	for i := 0; i < n; i++ {
+		key := i
+		if group != nil {
+			key = group(i)
+		}
+		g, ok := dense[key]
+		if !ok {
+			g = len(c.groups)
+			dense[key] = g
+			c.groups = append(c.groups, nil)
+		}
+		c.groups[g] = append(c.groups[g], i)
+	}
+	c.next = make([]int, len(c.groups))
+	return c
+}
+
+// claim returns the next unit for a worker whose current group is cur
+// (-1 for none) and the group that unit belongs to; ok is false once
+// every unit has been claimed.
+func (c *groupClaimer) claim(cur int) (unit, group int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	group = cur
+	if group < 0 || c.next[group] == len(c.groups[group]) {
+		if c.opened < len(c.groups) {
+			group = c.opened
+			c.opened++
+		} else {
+			group = -1
+			most := 0
+			for g := 0; g < c.opened; g++ {
+				if left := len(c.groups[g]) - c.next[g]; left > most {
+					group, most = g, left
+				}
+			}
+			if group < 0 {
+				return 0, 0, false
+			}
+		}
+	}
+	unit = c.groups[group][c.next[group]]
+	c.next[group]++
+	c.taken++
+	return unit, group, true
+}
+
+// claimedCount reports how many units have been handed out.
+func (c *groupClaimer) claimedCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.taken
 }
 
 // runOneUnit runs unit i to completion on worker w, committing on

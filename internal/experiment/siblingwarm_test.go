@@ -8,14 +8,12 @@ import (
 	"bcache/internal/workload"
 )
 
-// Differential coverage for the sibling-warming path (PR 9): a
-// cachedData miss extracts the fetch stream as a byproduct of the
-// resident record trace and publishes it with putIfAbsent, and the
-// byproduct must be bit-identical to what the generator-driven
-// materialize oracle produces — whether it was extracted from a
-// freshly generated record trace or from one reloaded off a spill
-// file. The concurrency half runs the publication against racing gets
-// under the race-robust gate (-race over ./internal/experiment/...).
+// Coverage for sibling filling: a cachedData miss runs one generator
+// pass that yields both streams, and fills the fetch stream's entry as
+// well, so the next cachedFetch hits. Both streams must match what a
+// fresh materialize pass produces. The concurrency half races data and
+// fetch requests for one key under the race-robust gate (-race over
+// ./internal/experiment/...): the generator must still run once.
 
 func siblingOpts() Opts {
 	o := DefaultOpts()
@@ -27,16 +25,16 @@ func siblingOpts() Opts {
 // oracleStreams runs materialize once and hands back both streams.
 func oracleStreams(t *testing.T, p *workload.Profile, o Opts) (*dataTrace, *fetchTrace) {
 	t.Helper()
-	at, err := materialize(p, o.Instructions, o.LineBytes)
+	dt, ft, err := materialize(p, o.Instructions, o.LineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &dataTrace{name: at.name, accs: at.data}, &fetchTrace{name: at.name, pcs: at.fetch}
+	return dt, ft
 }
 
-// TestSiblingWarmingMatchesOracle: the fetch stream published as a
-// byproduct of a cachedData build serves the next cachedFetch from
-// memory — no second generator run — and matches materialize exactly.
+// TestSiblingWarmingMatchesOracle: the fetch stream filled by a
+// cachedData build serves the next cachedFetch from memory — no second
+// generator run — and matches materialize exactly.
 func TestSiblingWarmingMatchesOracle(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -52,12 +50,12 @@ func TestSiblingWarmingMatchesOracle(t *testing.T) {
 		t.Fatal("cachedData stream diverges from materialize")
 	}
 
-	// The byproduct must already be resident before any fetch request.
+	// The sibling must already be resident before any fetch request.
 	sharedTraces.mu.Lock()
 	_, warmed := sharedTraces.entries[fetchTraceKey(opts, p)]
 	sharedTraces.mu.Unlock()
 	if !warmed {
-		t.Fatal("cachedData did not publish the fetch sibling")
+		t.Fatal("cachedData did not fill the fetch sibling")
 	}
 
 	before := TraceCacheStats()
@@ -77,60 +75,12 @@ func TestSiblingWarmingMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSiblingFromSpilledRecords: under a starvation budget the record
-// trace is spilled while the fetch entry is being built; a later fetch
-// at a new line size reloads the record trace from its spill file and
-// extracts from the decoded copy. The extracted stream must still match
-// the oracle, and the byproduct for an already-spilled sibling must be
-// dropped, not double-published.
-func TestSiblingFromSpilledRecords(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	opts := siblingOpts()
-	opts.TraceBytes = 1 // evict-everything pressure; > 0 keeps the cache on
-	p := mustProfile(t, "equake")
-
-	if _, err := cachedFetch(opts, p); err != nil {
-		t.Fatal(err)
-	}
-	c := TraceCacheStats()
-	if c.Evictions == 0 {
-		t.Fatalf("starvation budget evicted nothing: %+v", c)
-	}
-
-	wide := opts
-	wide.LineBytes = 64
-	wantData, wantFetch := oracleStreams(t, p, wide)
-	ft, err := cachedFetch(wide, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ft.pcs, wantFetch.pcs) {
-		t.Fatal("fetch stream extracted from spilled records diverges from materialize")
-	}
-	c = TraceCacheStats()
-	if c.Reloads == 0 {
-		t.Fatalf("second line size never reloaded the spilled record trace: %+v", c)
-	}
-	if c.Generations != 1 {
-		t.Fatalf("generator ran %d times; the spill file should have fed the rebuild", c.Generations)
-	}
-
-	dt, err := cachedData(wide, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dt.accs, wantData.accs) {
-		t.Fatal("data stream reloaded from spill diverges from materialize")
-	}
-}
-
-// TestSiblingWarmingConcurrent races byproduct publications against
-// in-flight gets: for each profile, data and fetch requests run
-// concurrently from several goroutines, so putIfAbsent lands while the
-// sibling's own build may be in flight (the no-singleflight drop path).
-// Every returned stream must match the per-profile oracle regardless of
-// which path produced it.
+// TestSiblingWarmingConcurrent races data and fetch requests for the
+// same key from several goroutines per profile, so a request for either
+// stream may find the other's build in flight. Every returned stream
+// must match the per-profile oracle regardless of which request built
+// it, and each profile must cost exactly one build and one generator
+// pass.
 func TestSiblingWarmingConcurrent(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -179,8 +129,12 @@ func TestSiblingWarmingConcurrent(t *testing.T) {
 	wg.Wait()
 
 	c := TraceCacheStats()
-	if c.Generations != uint64(len(profiles)) {
-		t.Fatalf("generator ran %d times for %d profiles; record traces must build once each",
-			c.Generations, len(profiles))
+	keys := uint64(len(profiles))
+	if c.Generations != keys || c.Misses != keys {
+		t.Fatalf("%d generations, %d misses for %d profiles; each must build once",
+			c.Generations, c.Misses, keys)
+	}
+	if want := 2*callers*keys - keys; c.Hits != want {
+		t.Fatalf("hits = %d, want %d (every request but the builders')", c.Hits, want)
 	}
 }

@@ -108,7 +108,6 @@ type Telemetry struct {
 	checkpointSaves *metrics.Counter
 	traceHits       *metrics.Counter
 	traceBuilds     *metrics.Counter
-	traceRebuilds   *metrics.Counter
 	queueDepth      *metrics.Gauge
 	inFlight        *metrics.Gauge
 	checkpointBytes *metrics.Gauge
@@ -153,7 +152,6 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 		checkpointSaves: reg.Counter("bcache_checkpoint_saves", "checkpoint files written (autosave and explicit)"),
 		traceHits:       reg.Counter("bcache_trace_cache_hits", "trace-cache lookups served from memory"),
 		traceBuilds:     reg.Counter("bcache_trace_cache_builds", "trace-cache misses that materialized a stream"),
-		traceRebuilds:   reg.Counter("bcache_trace_cache_rebuilds", "trace-cache entries discarded on checksum mismatch"),
 		queueDepth:      reg.Gauge("bcache_queue_depth", "work units queued but not yet claimed"),
 		inFlight:        reg.Gauge("bcache_units_in_flight", "work units currently executing"),
 		checkpointBytes: reg.Gauge("bcache_checkpoint_bytes", "size of the last checkpoint file written"),
@@ -404,8 +402,6 @@ func (t *Telemetry) traceCacheEvent(kind, name string, start time.Time, dur time
 		t.traceHits.Inc()
 	case tracespan.KindTraceBuild:
 		t.traceBuilds.Inc()
-	case tracespan.KindTraceRebuild:
-		t.traceRebuilds.Inc()
 	}
 	t.traceCacheBytes.Set(float64(usedBytes))
 	s := tracespan.Span{

@@ -57,8 +57,9 @@ type timedRun struct {
 	kind   energy.Kind
 }
 
-// runTimed simulates one benchmark on one L1 configuration.
-func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
+// runTimed simulates one benchmark's record trace on one L1
+// configuration.
+func runTimed(rt *recordTrace, spec Spec, opts Opts) (timedRun, error) {
 	ic, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return timedRun{}, err
@@ -68,10 +69,6 @@ func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
 		return timedRun{}, err
 	}
 	h, err := hier.New(ic, dc, hier.Defaults())
-	if err != nil {
-		return timedRun{}, err
-	}
-	rt, err := cachedRecords(opts, p)
 	if err != nil {
 		return timedRun{}, err
 	}
@@ -166,16 +163,27 @@ func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, e
 	all := append([]Spec{baselineSpec()}, specs...)
 	profiles := workload.All()
 	runs := make([]timedRun, len(profiles)*len(all))
-	err := runUnitsLabeled(len(runs), opts.workers(), func(i int) string {
-		return fmt.Sprintf("timed/%s/%s", profiles[i/len(all)].Name, all[i%len(all)].Name)
-	}, func(i int) error {
-		p, spec := profiles[i/len(all)], all[i%len(all)]
-		r, err := runTimed(p, spec, opts)
+	held := make([]heldTrace, len(profiles))
+	uo := unitOpts{
+		Label: func(i int) string {
+			return fmt.Sprintf("timed/%s/%s", profiles[i/len(all)].Name, all[i%len(all)].Name)
+		},
+		// Every configuration of one profile replays its record trace.
+		Group: func(i int) int { return i / len(all) },
+	}
+	err := runUnitsCtl(len(runs), opts.workers(), uo, func(i int) (func(), error) {
+		pi, spec := i/len(all), all[i%len(all)]
+		p := profiles[pi]
+		defer held[pi].release(len(all))
+		rt, err := held[pi].get(opts, p)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
+			return nil, fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
 		}
-		runs[i] = r
-		return nil
+		r, err := runTimed(rt, spec, opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
+		}
+		return func() { runs[i] = r }, nil
 	})
 	if err != nil {
 		return nil, err
@@ -189,6 +197,46 @@ func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, e
 		out[p.Name] = row
 	}
 	return out, nil
+}
+
+// heldTrace keeps one group's record trace alive from the group's first
+// unit to its last. With two groups open, building the second trace can
+// evict the first from the shared cache (record traces are evicted
+// first), and without the hold the first group's next unit would
+// regenerate it.
+type heldTrace struct {
+	mu    sync.Mutex
+	rt    *recordTrace // guarded by mu
+	ended int          // guarded by mu
+}
+
+// get returns the group's record trace, fetching it on first use. Units
+// of the group that fetch at once share the cache's single build.
+func (h *heldTrace) get(opts Opts, p *workload.Profile) (*recordTrace, error) {
+	h.mu.Lock()
+	rt := h.rt
+	h.mu.Unlock()
+	if rt != nil {
+		return rt, nil
+	}
+	rt, err := cachedRecords(opts, p)
+	if err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	h.rt = rt
+	h.mu.Unlock()
+	return rt, nil
+}
+
+// release marks one of the group's units ended; the last of size drops
+// the trace.
+func (h *heldTrace) release(size int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ended++; h.ended == size {
+		h.rt = nil
+	}
 }
 
 func runFig8(opts Opts) ([]*Table, error) {

@@ -1,11 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"math/bits"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,9 +17,6 @@ import (
 // traceCache memoizes three payload kinds, content-addressed by
 // everything the payload depends on:
 //
-//   - record traces: the raw generator output for (profile name, seed,
-//     instructions) — fed to the timed CPU model and extracted into
-//     address streams, so the workload generator runs once per stream;
 //   - data traces: the D-cache byte-address stream for (profile name,
 //     seed, instructions), packed 8 bytes per access. Set and tag
 //     derivation happen inside the caches, so the stream does not
@@ -32,25 +24,23 @@ import (
 //     shares one entry;
 //   - fetch traces: the I-cache stream for (profile name, seed,
 //     instructions, line bytes) — consecutive same-line PCs collapse,
-//     so this is the one stream a line-size sweep re-derives.
+//     so this is the one stream a line-size sweep re-derives;
+//   - record traces: the raw generator output for (profile name, seed,
+//     instructions), which only the timed CPU model consumes.
 //
-// A stream build extracts BOTH sides from the record trace while it is
-// resident and publishes the sibling as a byproduct (putIfAbsent), so
-// the record trace — 48 MB at DefaultOpts, and nearly as expensive to
-// decode from a spill file as to regenerate — never has to come back
-// just to derive the second stream.
+// A stream build is one generator pass (materialize) that yields BOTH
+// streams. The build reserves the sibling stream's key next to its own
+// when the sibling is absent, so a concurrent request for the other side
+// waits on the same build instead of starting a second generator run,
+// and a later request hits. No record trace is created for a stream.
 //
 // Entries are built once under a singleflight channel — duplicate
-// requesters block on the first builder — and when the byte budget is
-// exceeded, entries are spilled to checksummed on-disk V2 trace files
-// instead of being discarded: a later request decodes the spill file
-// (verifying the build-time FNV checksum; a corrupt file is deleted and
-// the entry rebuilt) rather than re-running the generator. Record
-// traces are evicted before stream payloads regardless of recency —
-// they are the cheapest tier to lose (see evictLocked). Spilled-but-
-// reloaded entries keep their file, so re-evicting them costs nothing.
-// Evicted traces stay usable by anyone already holding the pointer;
-// payloads are immutable after build.
+// requesters block on the first builder. When the byte budget is
+// exceeded, completed entries are dropped — record traces first, then
+// the least recently used (see evictLocked); a later request for one
+// rebuilds it bit-identically (the generator is deterministic). Evicted
+// payloads stay usable by anyone already holding the pointer; payloads
+// are immutable after build.
 //
 // The budget bounds cache-RESIDENT bytes, and eviction makes room
 // BEFORE a new entry is accounted, so the resident high-water mark
@@ -63,8 +53,7 @@ import (
 // otherwise. At DefaultOpts the full suite's steady working set is
 // every profile's data stream (~4.4 MB each) plus its 32-byte-line
 // fetch stream (~2.5 MB each) plus one resident record trace (~48 MB);
-// 232 MiB holds all of that with a little headroom, so the suite spills
-// only record traces as it cycles between benchmarks.
+// 232 MiB holds all of that with a little headroom.
 const defaultTraceBytes = 232 << 20
 
 // payloadKind discriminates the three cached stream representations.
@@ -87,27 +76,14 @@ type traceKey struct {
 	lineBytes int
 }
 
-// String is the stable form used for spill file naming and the sorted
-// SpilledTraces listing.
-func (k traceKey) String() string {
-	return fmt.Sprintf("kind=%d|%s|seed=%d|n=%d|line=%d",
-		k.kind, k.name, k.seed, k.instructions, k.lineBytes)
-}
-
 // payload is one cached value: a dataTrace, fetchTrace, or recordTrace.
 // Implementations are immutable after build.
 type payload interface {
 	sizeBytes() int64
-	checksum() uint64
-	// spillRecords writes the payload as a V2 record stream; the
-	// matching loader reverses it exactly (verified by checksum).
-	spillRecords(w *trace.CompressedWriter) error
 }
 
 // traceEntry is one in-memory slot. ready is closed when val/err are
-// set. The content checksum is not taken here: most entries live and
-// die resident, so the spill writer computes it only when an eviction
-// actually persists the payload.
+// set.
 type traceEntry struct {
 	ready   chan struct{}
 	val     payload
@@ -116,69 +92,40 @@ type traceEntry struct {
 	lastUse uint64
 }
 
-// spillSlot is one on-disk entry of the spill index. verified is set
-// after the first reload proves the file reproduces the build-time
-// checksum; later reloads of the same slot skip the verify pass — the
-// file is process-private and immutable once written, so one successful
-// round-trip establishes it for the slot's lifetime.
-type spillSlot struct {
-	path     string
-	sum      uint64
-	size     int64 // file bytes, compressed
-	verified bool
-}
-
 // TraceCacheCounters reports shared trace-cache effectiveness.
 type TraceCacheCounters struct {
-	// Hits are in-memory lookups; Reloads are lookups served by
-	// decoding a spill file; Misses are entries built from scratch
-	// (byproduct publications — the sibling stream extracted during a
-	// build — are not counted under any of these).
-	Hits    uint64
-	Misses  uint64
-	Reloads uint64
-	// Generations counts workload-generator runs — the expensive part a
-	// miss may or may not imply (a stream miss extracts from a cached
-	// record trace without regenerating).
+	// Hits are lookups served by an entry already resident or in
+	// flight (a sibling stream reserved by another build counts here);
+	// Misses are lookups that started a build.
+	Hits   uint64
+	Misses uint64
+	// Generations counts workload-generator runs: one per build, since
+	// a stream build makes both streams in one pass.
 	Generations uint64
-	// Evictions counts entries dropped from memory under budget
-	// pressure; Spills counts the subset persisted to disk (an entry
-	// whose spill file already exists is not rewritten).
+	// Evictions counts entries dropped under budget pressure.
 	Evictions uint64
-	Spills    uint64
-	// Rebuilds counts spill files discarded because their content no
-	// longer matched the build-time checksum.
-	Rebuilds uint64
-	// Bytes is resident; SpillBytes is on disk; PeakBytes is the
-	// resident high-water mark.
-	Bytes      int64
-	SpillBytes int64
-	PeakBytes  int64
+	// Bytes is resident; PeakBytes is the resident high-water mark.
+	Bytes     int64
+	PeakBytes int64
 }
 
 type traceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry // guarded by mu
-	spilled map[traceKey]*spillSlot  // guarded by mu
-	dir     string
-	dirErr  error
-	used    int64  // guarded by mu
-	ticks   uint64 // guarded by mu
-	c       TraceCacheCounters
+	used    int64                    // guarded by mu
+	ticks   uint64                   // guarded by mu
+	c       TraceCacheCounters       // guarded by mu
 }
 
 // sharedTraces is the process-wide cache; all experiments go through it.
 var sharedTraces = newTraceCache()
 
 func newTraceCache() *traceCache {
-	return &traceCache{
-		entries: map[traceKey]*traceEntry{},
-		spilled: map[traceKey]*spillSlot{},
-	}
+	return &traceCache{entries: map[traceKey]*traceEntry{}}
 }
 
-// ResetTraceCache drops all memoized traces, counters, and spill files
-// (test hook; also the CLI exit cleanup via CleanupTraceSpill).
+// ResetTraceCache drops all memoized traces and counters (test hook and
+// perfbench cold start).
 func ResetTraceCache() {
 	tc := sharedTraces
 	tc.mu.Lock()
@@ -187,24 +134,6 @@ func ResetTraceCache() {
 	tc.ticks = 0
 	tc.c = TraceCacheCounters{}
 	tc.mu.Unlock()
-	CleanupTraceSpill()
-}
-
-// CleanupTraceSpill removes the spill directory and forgets every
-// spilled entry. CLIs defer this so temp files never outlive the
-// process; the in-memory cache keeps working (evictions simply start a
-// fresh spill directory).
-func CleanupTraceSpill() {
-	tc := sharedTraces
-	tc.mu.Lock()
-	dir := tc.dir
-	tc.dir, tc.dirErr = "", nil
-	tc.spilled = map[traceKey]*spillSlot{}
-	tc.c.SpillBytes = 0
-	tc.mu.Unlock()
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
 }
 
 // TraceCacheStats returns a snapshot of the shared cache counters.
@@ -217,37 +146,6 @@ func TraceCacheStats() TraceCacheCounters {
 	return c
 }
 
-// SpilledTraces lists the keys currently held on disk, sorted so the
-// emission order is deterministic regardless of map iteration.
-func SpilledTraces() []string {
-	tc := sharedTraces
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	keys := make([]string, 0, len(tc.spilled))
-	for k := range tc.spilled {
-		keys = append(keys, k.String())
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// fnvWord folds one 64-bit word into the checksum state: xor, rotate,
-// multiply by the FNV prime. A word-at-a-time variant of FNV-1a — the
-// canonical byte fold costs 8 multiplies per word, which dominated
-// spill verification at suite scale. The rotation carries high-byte
-// bit flips into the low bytes that the upward-only multiply would
-// otherwise never touch. The sums are process-private (computed when a
-// payload spills, checked on its first reload), so the exact mixing
-// function is free to change between versions.
-func fnvWord(h, v uint64) uint64 {
-	const prime = 1099511628211
-	return bits.RotateLeft64(h^v, 27) * prime
-}
-
-const fnvOffset = 14695981039346656037
-
-// ---- data traces ----
-
 // dataTrace is the packed D-cache access stream for one (profile, seed,
 // n). Immutable after build.
 type dataTrace struct {
@@ -256,44 +154,6 @@ type dataTrace struct {
 }
 
 func (dt *dataTrace) sizeBytes() int64 { return int64(len(dt.accs)) * 8 }
-
-// checksum folds the stream through FNV-1a. memAcc already packs
-// addr<<1|write into one word, so the fold consumes it directly.
-func (dt *dataTrace) checksum() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(dt.accs)))
-	for _, m := range dt.accs {
-		h = fnvWord(h, uint64(m))
-	}
-	return h
-}
-
-func (dt *dataTrace) spillRecords(w *trace.CompressedWriter) error {
-	for _, m := range dt.accs {
-		k := trace.Load
-		if m.Write() {
-			k = trace.Store
-		}
-		if err := w.Write(trace.Record{Mem: m.Addr(), Kind: k, Lat: 1}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func loadDataTrace(r *trace.CompressedReader, name string) (*dataTrace, error) {
-	dt := &dataTrace{name: name, accs: make([]memAcc, 0, r.Remaining())}
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		dt.accs = append(dt.accs, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
-	}
-	return dt, r.Err()
-}
-
-// ---- fetch traces ----
 
 // fetchTrace is the I-cache access stream for one (profile, seed, n,
 // line size): one PC per executed basic-block line. Immutable after
@@ -305,41 +165,8 @@ type fetchTrace struct {
 
 func (ft *fetchTrace) sizeBytes() int64 { return int64(len(ft.pcs)) * 8 }
 
-func (ft *fetchTrace) checksum() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(ft.pcs)))
-	for _, pc := range ft.pcs {
-		h = fnvWord(h, uint64(pc))
-	}
-	return h
-}
-
-func (ft *fetchTrace) spillRecords(w *trace.CompressedWriter) error {
-	for _, pc := range ft.pcs {
-		if err := w.Write(trace.Record{PC: pc, Kind: trace.Int, Lat: 1}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func loadFetchTrace(r *trace.CompressedReader, name string) (*fetchTrace, error) {
-	ft := &fetchTrace{name: name, pcs: make([]addr.Addr, 0, r.Remaining())}
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		ft.pcs = append(ft.pcs, rec.PC)
-	}
-	return ft, r.Err()
-}
-
-// ---- record traces ----
-
 // recordTrace is the raw generator output for one (profile, seed, n):
-// the stream the timed CPU model consumes and address streams are
-// extracted from. Immutable after build.
+// the stream the timed CPU model consumes. Immutable after build.
 type recordTrace struct {
 	name string
 	recs []trace.Record
@@ -351,42 +178,35 @@ const recordBytes = 24
 
 func (rt *recordTrace) sizeBytes() int64 { return int64(len(rt.recs)) * recordBytes }
 
-func (rt *recordTrace) checksum() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(rt.recs)))
-	for _, r := range rt.recs {
-		h = fnvWord(h, uint64(r.PC))
-		h = fnvWord(h, uint64(r.Mem))
-		h = fnvWord(h, uint64(r.Kind)|uint64(r.Src1)<<8|uint64(r.Src2)<<16|
-			uint64(r.Dst)<<24|uint64(r.Lat)<<32)
+// materialize runs the generator for n instructions and extracts both
+// cache-visible address streams in the one pass: the D-cache accesses in
+// program order, and the I-cache accesses at lineBytes (one per executed
+// basic-block line — consecutive same-line PCs collapse, matching the
+// CPU model).
+func materialize(p *workload.Profile, n uint64, lineBytes int) (*dataTrace, *fetchTrace, error) {
+	g, err := workload.New(p)
+	if err != nil {
+		return nil, nil, err
 	}
-	return h
-}
-
-func (rt *recordTrace) spillRecords(w *trace.CompressedWriter) error {
-	for _, r := range rt.recs {
-		if err := w.Write(r); err != nil {
-			return err
+	dt := &dataTrace{name: p.Name, accs: make([]memAcc, 0, n/3)}
+	ft := &fetchTrace{name: p.Name, pcs: make([]addr.Addr, 0, n/4)}
+	lineMask := ^addr.Addr(uint64(lineBytes) - 1)
+	curLine := ^addr.Addr(0)
+	for i := uint64(0); i < n; i++ {
+		rec, _ := g.Next()
+		if line := rec.PC & lineMask; line != curLine {
+			curLine = line
+			ft.pcs = append(ft.pcs, rec.PC)
+		}
+		if rec.Kind.IsMem() {
+			dt.accs = append(dt.accs, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
 		}
 	}
-	return nil
-}
-
-func loadRecordTrace(r *trace.CompressedReader, name string) (*recordTrace, error) {
-	rt := &recordTrace{name: name, recs: make([]trace.Record, 0, r.Remaining())}
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		rt.recs = append(rt.recs, rec)
-	}
-	return rt, r.Err()
+	return dt, ft, nil
 }
 
 // generateRecords runs the workload generator for exactly n records —
-// the same count materialize and the timed CPU model consume, so a
-// cached record trace is bit-identical input for both.
+// the count the timed CPU model consumes.
 func generateRecords(p *workload.Profile, n uint64) (*recordTrace, error) {
 	g, err := workload.New(p)
 	if err != nil {
@@ -399,45 +219,17 @@ func generateRecords(p *workload.Profile, n uint64) (*recordTrace, error) {
 	return rt, nil
 }
 
-// extractData derives the D-cache stream from a record trace. This is
-// materialize's data loop verbatim — materialize stays as the
-// generator-driven oracle the differential tests compare against.
-func extractData(rt *recordTrace) *dataTrace {
-	dt := &dataTrace{name: rt.name}
-	dt.accs = make([]memAcc, 0, len(rt.recs)/3)
-	for _, rec := range rt.recs {
-		if rec.Kind.IsMem() {
-			dt.accs = append(dt.accs, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
-		}
-	}
-	return dt
-}
-
-// extractFetch derives the I-cache stream from a record trace at one
-// line size — materialize's fetch-collapse loop verbatim.
-func extractFetch(rt *recordTrace, lineBytes int) *fetchTrace {
-	ft := &fetchTrace{name: rt.name}
-	ft.pcs = make([]addr.Addr, 0, len(rt.recs)/4)
-	lineMask := ^addr.Addr(uint64(lineBytes) - 1)
-	curLine := ^addr.Addr(0)
-	for _, rec := range rt.recs {
-		if line := rec.PC & lineMask; line != curLine {
-			curLine = line
-			ft.pcs = append(ft.pcs, rec.PC)
-		}
-	}
-	return ft
-}
-
-// ---- the cache ----
-
-// get returns the payload for key, building it at most once per key.
-// Lookup order: memory (free), spill file (decode, plus a checksum
-// verify on the slot's first reload), build. A corrupt spill file is
-// deleted, counted under Rebuilds, and the entry rebuilt from scratch.
-func (tc *traceCache) get(key traceKey, budget int64,
-	build func() (payload, error),
-	load func(*trace.CompressedReader) (payload, error)) (payload, error) {
+// get returns the payload for key, building it at most once per key
+// while it stays resident. A build may also produce a sibling payload
+// (the other stream of the same generator pass): when sib is non-nil
+// and its key is absent, get reserves it alongside key so concurrent
+// requests for it wait on this build, and fills it from build's second
+// result. reserve is the build's size when it is known up front (record
+// traces): those bytes are accounted, and room made for them, before the
+// build allocates, so the evicted entries can be collected while the
+// generator runs instead of after.
+func (tc *traceCache) get(key traceKey, sib *traceKey, budget, reserve int64,
+	build func() (val, sibVal payload, err error)) (payload, error) {
 	tel := CurrentTelemetry()
 	tc.mu.Lock()
 	if e, ok := tc.entries[key]; ok {
@@ -450,136 +242,85 @@ func (tc *traceCache) get(key traceKey, budget int64,
 		tel.traceCacheEvent(tracespan.KindTraceHit, key.name, time.Time{}, 0, used)
 		return e.val, e.err
 	}
-	e := &traceEntry{ready: make(chan struct{})}
 	tc.ticks++
-	e.lastUse = tc.ticks
+	e := &traceEntry{ready: make(chan struct{}), lastUse: tc.ticks}
 	tc.entries[key] = e
-	slot := tc.spilled[key]
-	verify := slot != nil && !slot.verified
+	var se *traceEntry
+	if sib != nil && tc.entries[*sib] == nil {
+		se = &traceEntry{ready: make(chan struct{}), lastUse: tc.ticks}
+		tc.entries[*sib] = se
+	}
+	tc.c.Misses++
+	tc.c.Generations++
+	tc.evictLocked(budget - reserve)
+	tc.used += reserve
+	tc.c.PeakBytes = max(tc.c.PeakBytes, tc.used)
 	tc.mu.Unlock()
 
 	var buildStart time.Time
 	if tel != nil {
 		buildStart = tel.now()
 	}
-	var val payload
-	var err error
-	kind := tracespan.KindTraceReload
-	if slot != nil {
-		val, err = reloadSpill(slot, load, verify)
-		if err != nil {
-			// Corrupt or unreadable: delete the file so the next
-			// eviction rewrites it, and fall through to a rebuild.
-			os.Remove(slot.path)
-			tc.mu.Lock()
-			if tc.spilled[key] == slot {
-				delete(tc.spilled, key)
-				tc.c.SpillBytes -= slot.size
-			}
-			tc.c.Rebuilds++
-			used := tc.used
-			tc.mu.Unlock()
-			tel.traceCacheEvent(tracespan.KindTraceRebuild, key.name, time.Time{}, 0, used)
-			slot = nil
-		}
-	}
-	if slot == nil {
-		val, err = build()
-		kind = tracespan.KindTraceBuild
-	}
+	val, sibVal, err := build()
 	e.val, e.err = val, err
 	if err == nil {
 		e.size = val.sizeBytes()
 	}
-	close(e.ready)
+	if se != nil {
+		se.val, se.err = sibVal, err
+		if err == nil {
+			se.size = sibVal.sizeBytes()
+		}
+	}
 
 	tc.mu.Lock()
-	var victims []spillJob
+	tc.used -= reserve
 	if err != nil {
 		// Failures are not cached; a later call may retry.
 		delete(tc.entries, key)
+		if se != nil {
+			delete(tc.entries, *sib)
+		}
 	} else {
-		if slot == nil {
-			tc.c.Misses++
-		} else {
-			tc.c.Reloads++
-			if verify {
-				slot.verified = true
-			}
+		// Make room BEFORE accounting the new entries, so the resident
+		// high-water mark stays within budget whenever eviction can keep
+		// up. Both entries are still unready, so eviction skips them.
+		add := e.size
+		if se != nil {
+			add += se.size
 		}
-		// Make room BEFORE accounting the new entry, so the resident
-		// high-water mark stays within budget whenever eviction can
-		// keep up.
-		victims = tc.evictLocked(key, budget-e.size)
-		tc.used += e.size
-		if tc.used > tc.c.PeakBytes {
-			tc.c.PeakBytes = tc.used
-		}
+		tc.evictLocked(budget - add)
+		tc.used += add
+		tc.c.PeakBytes = max(tc.c.PeakBytes, tc.used)
 	}
 	used := tc.used
 	tc.mu.Unlock()
-	tc.spill(victims, tel)
+	close(e.ready)
+	if se != nil {
+		close(se.ready)
+	}
 	if tel != nil && err == nil {
-		tel.traceCacheEvent(kind, key.name, buildStart, tel.now().Sub(buildStart), used)
+		tel.traceCacheEvent(tracespan.KindTraceBuild, key.name, buildStart, tel.now().Sub(buildStart), used)
 	}
 	return val, err
 }
 
-// putIfAbsent publishes a byproduct payload — the sibling stream
-// extracted while another entry was being built from the same resident
-// record trace. No singleflight: if the key is already present in
-// memory, in flight, or on disk, the byproduct is simply dropped. No
-// counter moves; the publication is an accident of build order, not a
-// lookup.
-func (tc *traceCache) putIfAbsent(key traceKey, val payload, budget int64) {
-	e := &traceEntry{
-		ready: make(chan struct{}),
-		val:   val,
-		size:  val.sizeBytes(),
-	}
-	close(e.ready)
-	tc.mu.Lock()
-	if tc.entries[key] != nil || tc.spilled[key] != nil {
-		tc.mu.Unlock()
-		return
-	}
-	tc.ticks++
-	e.lastUse = tc.ticks
-	tc.entries[key] = e
-	victims := tc.evictLocked(key, budget-e.size)
-	tc.used += e.size
-	if tc.used > tc.c.PeakBytes {
-		tc.c.PeakBytes = tc.used
-	}
-	tc.mu.Unlock()
-	tc.spill(victims, CurrentTelemetry())
-}
-
-// spillJob carries one evicted entry out of the lock for writing.
-type spillJob struct {
-	key traceKey
-	val payload
-}
-
-// evictLocked drops completed entries (never keep, never ones still
-// building) until used fits budget, returning the ones that need a
-// spill file written. Record traces are chosen before stream payloads
-// regardless of recency: decoding a spilled record trace costs about as
-// much as regenerating it, so it is the cheapest tier to lose, and the
-// much smaller extracted streams — the entries the replay loops
-// actually reuse — stay resident. Within a tier the choice is LRU. The
-// entry count is small — a few per (benchmark, seed) — so a linear
-// minimum scan is fine.
-func (tc *traceCache) evictLocked(keep traceKey, budget int64) []spillJob {
-	var jobs []spillJob
+// evictLocked drops completed entries (never ones still building) until
+// used fits budget. Record traces are chosen before stream payloads
+// regardless of recency: only the timed CPU model reads a record trace,
+// and it finishes with one profile's trace before moving on, while the
+// much smaller streams are replayed again by later experiments. Without
+// this tier, the full suite's 26 record traces (48 MB each at
+// DefaultOpts) flush every resident stream, and later experiments
+// regenerate them. Within a tier the choice is LRU. The entry count is
+// small — a few per (benchmark, seed) — so a linear minimum scan is
+// fine.
+func (tc *traceCache) evictLocked(budget int64) {
 	for tc.used > budget {
 		var victim traceKey
 		var oldest uint64
 		found, foundRecords := false, false
 		for k, e := range tc.entries {
-			if k == keep {
-				continue
-			}
 			select {
 			case <-e.ready:
 			default:
@@ -597,128 +338,12 @@ func (tc *traceCache) evictLocked(keep traceKey, budget int64) []spillJob {
 			victim, oldest, found, foundRecords = k, e.lastUse, true, isRecords
 		}
 		if !found {
-			return jobs
+			return
 		}
-		e := tc.entries[victim]
-		tc.used -= e.size
+		tc.used -= tc.entries[victim].size
 		delete(tc.entries, victim)
 		tc.c.Evictions++
-		if tc.spilled[victim] == nil {
-			jobs = append(jobs, spillJob{key: victim, val: e.val})
-		}
 	}
-	return jobs
-}
-
-// spillDir lazily creates the process's spill directory.
-func (tc *traceCache) spillDir() (string, error) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if tc.dir == "" && tc.dirErr == nil {
-		tc.dir, tc.dirErr = os.MkdirTemp("", "bcache-tracespill-")
-	}
-	return tc.dir, tc.dirErr
-}
-
-// spillName derives a stable file name from the key's string form.
-func spillName(k traceKey) string {
-	return fmt.Sprintf("t%016x.bct", stringFNV(k.String()))
-}
-
-func stringFNV(s string) uint64 {
-	const prime = 1099511628211
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * prime
-	}
-	return h
-}
-
-// spill writes evicted entries to disk, outside the cache lock — the
-// write races only against a concurrent rebuild of the same key, which
-// is benign (both produce content with the same checksum). A failed
-// write degrades to a plain eviction.
-func (tc *traceCache) spill(jobs []spillJob, tel *Telemetry) {
-	if len(jobs) == 0 {
-		return
-	}
-	dir, err := tc.spillDir()
-	if err != nil {
-		return
-	}
-	for _, j := range jobs {
-		path := filepath.Join(dir, spillName(j.key))
-		// The checksum is computed here, not at build time: the payload
-		// is immutable, and only the minority of entries that reach a
-		// spill file ever need one.
-		sum := j.val.checksum()
-		n, err := writeSpill(path, j.val)
-		if err != nil {
-			os.Remove(path)
-			continue
-		}
-		tc.mu.Lock()
-		if tc.spilled[j.key] == nil {
-			tc.spilled[j.key] = &spillSlot{path: path, sum: sum, size: n}
-			tc.c.Spills++
-			tc.c.SpillBytes += n
-		}
-		used := tc.used
-		tc.mu.Unlock()
-		tel.traceCacheEvent(tracespan.KindTraceSpill, j.key.name, time.Time{}, 0, used)
-	}
-}
-
-// writeSpill encodes val into a V2 trace file and reports its size.
-func writeSpill(path string, val payload) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w, err := trace.NewCompressedWriter(f)
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := val.spillRecords(w); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	return st.Size(), f.Close()
-}
-
-// reloadSpill decodes one spill file; when verify is set it also checks
-// the content against the build-time checksum (the slot's first reload
-// — see spillSlot.verified).
-func reloadSpill(slot *spillSlot, load func(*trace.CompressedReader) (payload, error), verify bool) (payload, error) {
-	f, err := os.Open(slot.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := trace.NewCompressedReader(f)
-	if err != nil {
-		return nil, err
-	}
-	val, err := load(r)
-	if err != nil {
-		return nil, err
-	}
-	if verify {
-		if got := val.checksum(); got != slot.sum {
-			return nil, fmt.Errorf("spill %s: checksum %x, want %x", slot.path, got, slot.sum)
-		}
-	}
-	return val, nil
 }
 
 // traceBudget resolves the Opts knob: 0 means the default budget,
@@ -734,23 +359,18 @@ func (o Opts) traceBudget() int64 {
 }
 
 // cachedRecords returns the generator output for (p, seed, n), running
-// the generator at most once per key across the whole process.
+// the generator at most once per key while the trace stays resident.
 func cachedRecords(opts Opts, p *workload.Profile) (*recordTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
 		return generateRecords(p, opts.Instructions)
 	}
 	key := traceKey{kind: kindRecords, name: p.Name, seed: p.Seed, instructions: opts.Instructions}
-	val, err := sharedTraces.get(key, budget,
-		func() (payload, error) {
-			sharedTraces.mu.Lock()
-			sharedTraces.c.Generations++
-			sharedTraces.mu.Unlock()
-			return generateRecords(p, opts.Instructions)
-		},
-		func(r *trace.CompressedReader) (payload, error) {
-			return loadRecordTrace(r, p.Name)
-		})
+	size := int64(opts.Instructions) * recordBytes
+	val, err := sharedTraces.get(key, nil, budget, size, func() (payload, payload, error) {
+		rt, err := generateRecords(p, opts.Instructions)
+		return rt, nil, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -770,60 +390,38 @@ func fetchTraceKey(opts Opts, p *workload.Profile) traceKey {
 
 // cachedData is the D-side call-site helper: every data-cache
 // experiment obtains its stream here instead of calling materialize
-// directly. A miss extracts from the cached record trace — and, while
-// that trace is resident, also extracts the opts.LineBytes fetch stream
-// and publishes it as a byproduct, so a later I-side experiment at the
-// same line size hits without reloading the record trace.
+// directly. A miss also fills the opts.LineBytes fetch stream, so a
+// later I-side experiment at the same line size hits.
 func cachedData(opts Opts, p *workload.Profile) (*dataTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
-		at, err := materialize(p, opts.Instructions, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &dataTrace{name: at.name, accs: at.data}, nil
+		dt, _, err := materialize(p, opts.Instructions, opts.LineBytes)
+		return dt, err
 	}
-	val, err := sharedTraces.get(dataTraceKey(opts, p), budget,
-		func() (payload, error) {
-			rt, err := cachedRecords(opts, p)
-			if err != nil {
-				return nil, err
-			}
-			sharedTraces.putIfAbsent(fetchTraceKey(opts, p), extractFetch(rt, opts.LineBytes), budget)
-			return extractData(rt), nil
-		},
-		func(r *trace.CompressedReader) (payload, error) {
-			return loadDataTrace(r, p.Name)
-		})
+	sib := fetchTraceKey(opts, p)
+	val, err := sharedTraces.get(dataTraceKey(opts, p), &sib, budget, 0, func() (payload, payload, error) {
+		dt, ft, err := materialize(p, opts.Instructions, opts.LineBytes)
+		return dt, ft, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return val.(*dataTrace), nil
 }
 
-// cachedFetch is cachedData's I-side twin; a miss publishes the data
-// stream as the byproduct.
+// cachedFetch is cachedData's I-side twin; a miss also fills the data
+// stream.
 func cachedFetch(opts Opts, p *workload.Profile) (*fetchTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
-		at, err := materialize(p, opts.Instructions, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &fetchTrace{name: at.name, pcs: at.fetch}, nil
+		_, ft, err := materialize(p, opts.Instructions, opts.LineBytes)
+		return ft, err
 	}
-	val, err := sharedTraces.get(fetchTraceKey(opts, p), budget,
-		func() (payload, error) {
-			rt, err := cachedRecords(opts, p)
-			if err != nil {
-				return nil, err
-			}
-			sharedTraces.putIfAbsent(dataTraceKey(opts, p), extractData(rt), budget)
-			return extractFetch(rt, opts.LineBytes), nil
-		},
-		func(r *trace.CompressedReader) (payload, error) {
-			return loadFetchTrace(r, p.Name)
-		})
+	sib := dataTraceKey(opts, p)
+	val, err := sharedTraces.get(fetchTraceKey(opts, p), &sib, budget, 0, func() (payload, payload, error) {
+		dt, ft, err := materialize(p, opts.Instructions, opts.LineBytes)
+		return ft, dt, err
+	})
 	if err != nil {
 		return nil, err
 	}

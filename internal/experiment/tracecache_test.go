@@ -1,148 +1,11 @@
 package experiment
 
 import (
-	"os"
-	"path/filepath"
-	"reflect"
-	"sort"
 	"testing"
 
 	"bcache/internal/trace"
 	"bcache/internal/workload"
 )
-
-// TestExtractMatchesMaterialize: deriving the address streams from a
-// cached record trace must be byte-for-byte the streams the
-// generator-driven materialize oracle produces, for every line size the
-// suite sweeps (the data stream is line-independent; the oracle proves
-// that by producing the same one at every line size).
-func TestExtractMatchesMaterialize(t *testing.T) {
-	const n = 50_000
-	for _, p := range workload.All()[:3] {
-		rt, err := generateRecords(p, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := extractData(rt)
-		for _, lb := range []int{16, 32, 64} {
-			want, err := materialize(p, n, lb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(data.accs, want.data) {
-				t.Fatalf("%s line=%d: extracted data stream diverges from materialize", p.Name, lb)
-			}
-			fetch := extractFetch(rt, lb)
-			if !reflect.DeepEqual(fetch.pcs, want.fetch) {
-				t.Fatalf("%s line=%d: extracted fetch stream diverges from materialize", p.Name, lb)
-			}
-		}
-	}
-}
-
-// TestSpillRoundTrip: every payload kind survives a spill/reload cycle
-// bit-identically, with the reload checksum matching the build-time one.
-func TestSpillRoundTrip(t *testing.T) {
-	p := workload.All()[0]
-	rt, err := generateRecords(p, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt := extractData(rt)
-	ft := extractFetch(rt, 32)
-	dir := t.TempDir()
-
-	for _, tc := range []struct {
-		name string
-		val  payload
-		load func(*trace.CompressedReader) (payload, error)
-	}{
-		{"records", rt, func(r *trace.CompressedReader) (payload, error) {
-			return loadRecordTrace(r, p.Name)
-		}},
-		{"data", dt, func(r *trace.CompressedReader) (payload, error) {
-			return loadDataTrace(r, p.Name)
-		}},
-		{"fetch", ft, func(r *trace.CompressedReader) (payload, error) {
-			return loadFetchTrace(r, p.Name)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, tc.name+".bct")
-			size, err := writeSpill(path, tc.val)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if size <= 0 {
-				t.Fatal("spill file reports no bytes")
-			}
-			got, err := reloadSpill(&spillSlot{path: path, sum: tc.val.checksum(), size: size}, tc.load, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, tc.val) {
-				t.Fatal("reloaded payload differs from the original")
-			}
-		})
-	}
-}
-
-// TestSpillCompression: the V2 delta encoding must beat the in-memory
-// footprint by a wide margin — that is the point of spilling.
-func TestSpillCompression(t *testing.T) {
-	p := workload.All()[0]
-	rt, err := generateRecords(p, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "r.bct")
-	size, err := writeSpill(path, rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size*2 > rt.sizeBytes() {
-		t.Fatalf("spill file %d bytes vs %d resident: compression lost", size, rt.sizeBytes())
-	}
-}
-
-// TestSpilledTracesSorted: the spill-index listing is emitted in sorted
-// order regardless of map iteration, and cleanup empties it along with
-// the on-disk directory.
-func TestSpilledTracesSorted(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	opts := tinyOpts()
-	opts.TraceBytes = 1 // evict-and-spill everything as soon as it is built
-	p, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := 0; seed < 3; seed++ {
-		if _, err := cachedData(opts, withSeed(p, seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := SpilledTraces()
-	if len(keys) == 0 {
-		t.Fatal("nothing spilled under a 1-byte budget")
-	}
-	if !sort.StringsAreSorted(keys) {
-		t.Fatalf("spill listing not sorted: %q", keys)
-	}
-	sharedTraces.mu.Lock()
-	dir := sharedTraces.dir
-	sharedTraces.mu.Unlock()
-	CleanupTraceSpill()
-	if got := SpilledTraces(); len(got) != 0 {
-		t.Fatalf("cleanup left %d spill entries", len(got))
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatal("cleanup left the spill directory behind")
-	}
-	if c := TraceCacheStats(); c.SpillBytes != 0 {
-		t.Fatalf("cleanup left SpillBytes=%d", c.SpillBytes)
-	}
-}
 
 // TestPeakBytesHighWater: PeakBytes records the resident high-water
 // mark, which survives the evictions that later shrink Bytes.
@@ -154,15 +17,18 @@ func TestPeakBytesHighWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cachedData(opts, p); err != nil {
-		t.Fatal(err)
+	// Two (data, fetch) pairs resident, then a budget only one fits.
+	for seed := 0; seed < 2; seed++ {
+		if _, err := cachedData(opts, withSeed(p, seed)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	high := TraceCacheStats()
 	if high.PeakBytes < high.Bytes || high.PeakBytes == 0 {
 		t.Fatalf("peak %d below resident %d", high.PeakBytes, high.Bytes)
 	}
 	opts.TraceBytes = 1
-	if _, err := cachedData(opts, withSeed(p, 1)); err != nil {
+	if _, err := cachedData(opts, withSeed(p, 2)); err != nil {
 		t.Fatal(err)
 	}
 	c := TraceCacheStats()
@@ -181,13 +47,13 @@ func TestPeakStaysWithinBudget(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
-	rt, err := cachedRecords(opts, mustProfile(t, "gcc"))
-	if err != nil {
+	if _, err := cachedData(opts, mustProfile(t, "gcc")); err != nil {
 		t.Fatal(err)
 	}
+	pair := TraceCacheStats().Bytes
 	ResetTraceCache()
-	// A budget that fits one record trace plus change, but not two.
-	opts.TraceBytes = rt.sizeBytes() + rt.sizeBytes()/2
+	// A budget that fits one (data, fetch) pair plus change, but not two.
+	opts.TraceBytes = pair + pair/2
 	for _, name := range []string{"gcc", "equake", "crafty"} {
 		if _, err := cachedData(opts, mustProfile(t, name)); err != nil {
 			t.Fatal(err)
@@ -195,7 +61,7 @@ func TestPeakStaysWithinBudget(t *testing.T) {
 	}
 	c := TraceCacheStats()
 	if c.Evictions == 0 {
-		t.Fatalf("three benchmarks under a two-trace budget evicted nothing: %+v", c)
+		t.Fatalf("three benchmarks under a one-pair budget evicted nothing: %+v", c)
 	}
 	if c.PeakBytes > opts.TraceBytes {
 		t.Fatalf("resident peak %d exceeded budget %d", c.PeakBytes, opts.TraceBytes)
@@ -209,12 +75,14 @@ func TestRecordsEvictedBeforeStreams(t *testing.T) {
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	p := mustProfile(t, "gcc")
-	dt, err := cachedData(opts, p) // builds records, data, and the fetch byproduct
-	if err != nil {
+	if _, err := cachedData(opts, p); err != nil { // the data and fetch pair
 		t.Fatal(err)
 	}
-	// Pin the budget at the current working set: the next record-trace
-	// build must make room for exactly one record trace.
+	if _, err := cachedRecords(opts, p); err != nil { // newer than the pair
+		t.Fatal(err)
+	}
+	// Pin the budget at the current working set: the next pair must
+	// make room for itself.
 	opts.TraceBytes = TraceCacheStats().Bytes
 	if _, err := cachedData(opts, withSeed(p, 1)); err != nil {
 		t.Fatal(err)
@@ -223,14 +91,54 @@ func TestRecordsEvictedBeforeStreams(t *testing.T) {
 	sharedTraces.mu.Lock()
 	_, recordsResident := sharedTraces.entries[rKey]
 	_, dataResident := sharedTraces.entries[dataTraceKey(opts, p)]
+	_, fetchResident := sharedTraces.entries[fetchTraceKey(opts, p)]
 	sharedTraces.mu.Unlock()
 	if recordsResident {
 		t.Fatal("record trace survived eviction pressure")
 	}
-	if !dataResident {
-		t.Fatal("data stream was evicted while a record trace was resident")
+	if !dataResident || !fetchResident {
+		t.Fatal("an older stream was evicted while a record trace was resident")
 	}
-	_ = dt
+}
+
+// TestReserveEvictsBeforeBuild: a build whose size is known up front
+// (a record trace) makes room and accounts its bytes before it runs, so
+// the entry it displaces is already gone while the generator allocates.
+func TestReserveEvictsBeforeBuild(t *testing.T) {
+	tc := newTraceCache()
+	const recs = 100
+	const size = recs * recordBytes
+	const budget = size + size/2 // room for one record trace, not two
+	build := func(check func()) func() (payload, payload, error) {
+		return func() (payload, payload, error) {
+			if check != nil {
+				check()
+			}
+			return &recordTrace{recs: make([]trace.Record, recs)}, nil, nil
+		}
+	}
+	first := traceKey{kind: kindRecords, name: "first"}
+	if _, err := tc.get(first, nil, budget, size, build(nil)); err != nil {
+		t.Fatal(err)
+	}
+	second := traceKey{kind: kindRecords, name: "second"}
+	if _, err := tc.get(second, nil, budget, size, build(func() {
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		if _, ok := tc.entries[first]; ok {
+			t.Error("the displaced record trace was still resident during the build")
+		}
+		if tc.used != size {
+			t.Errorf("%d bytes accounted during the build, want the %d reserved", tc.used, size)
+		}
+	})); err != nil {
+		t.Fatal(err)
+	}
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if tc.used != size || tc.c.PeakBytes != size || tc.c.Evictions != 1 {
+		t.Fatalf("used %d, counters %+v; want %d bytes, peak %d, 1 eviction", tc.used, tc.c, size, size)
+	}
 }
 
 func mustProfile(t *testing.T, name string) *workload.Profile {
@@ -240,18 +148,4 @@ func mustProfile(t *testing.T, name string) *workload.Profile {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestSpillNamesDistinct guards the spill naming scheme: distinct keys
-// must map to distinct file names.
-func TestSpillNamesDistinct(t *testing.T) {
-	a := traceKey{kind: kindData, name: "gcc", seed: 1, instructions: 100}
-	b := a
-	b.kind = kindRecords
-	c := a
-	c.kind = kindFetch
-	c.lineBytes = 32
-	if spillName(a) == spillName(b) || spillName(a) == spillName(c) || spillName(b) == spillName(c) {
-		t.Fatal("distinct keys share a spill file name")
-	}
 }

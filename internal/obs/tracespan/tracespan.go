@@ -1,7 +1,7 @@
 // Package tracespan is the scheduler's flight recorder: a lock-cheap,
 // bounded, in-memory journal of lifecycle spans — unit start/finish,
 // retry and backoff, deadline abandons, panics, checkpoint autosaves,
-// trace-cache hits and rebuilds — exportable as schema-versioned JSONL
+// trace-cache hits and builds — exportable as schema-versioned JSONL
 // and as a Chrome trace-event timeline (chrome://tracing / Perfetto, one
 // track per worker).
 //
@@ -46,6 +46,10 @@ const (
 	KindTraceHit = "trace_hit"
 	// KindTraceBuild is a trace-cache miss plus the build that filled it.
 	KindTraceBuild = "trace_build"
+	// KindTraceRebuild, KindTraceSpill and KindTraceReload belong to the
+	// retired spill-to-disk trace tier: nothing emits them any more, and
+	// they stay so journal readers built against them keep compiling.
+	//
 	// KindTraceRebuild marks a checksum-failed entry being discarded.
 	KindTraceRebuild = "trace_rebuild"
 	// KindTraceSpill marks an evicted trace being written to disk.
