@@ -254,8 +254,8 @@ func main() {
 	// subprocesses first, merging their results into the checkpoint.
 	// The normal in-process loop below then finds each distributed unit
 	// already checkpointed, so the rendered tables are bit-identical to
-	// a single-process run; experiments without a Plan simply run
-	// in-process as always.
+	// a single-process run; experiments that declare no miss-rate
+	// sweeps simply run in-process as always.
 	if *workersProcs > 0 {
 		if ckpt == nil {
 			ckpt = experiment.NewCheckpoint("")

@@ -58,20 +58,25 @@ func chaosOpts(ckpt *experiment.Checkpoint) experiment.Opts {
 	return opts
 }
 
-// runSequentialOracle runs fig5 in-process with a fresh checkpoint and
-// returns the saved checkpoint bytes and the rendered table bytes.
-func runSequentialOracle(t *testing.T, dir string) ([]byte, string, *experiment.Checkpoint) {
+// runSequentialOracle runs the experiments ids in-process with one fresh
+// checkpoint and returns the saved checkpoint bytes and the rendered
+// table bytes.
+func runSequentialOracle(t *testing.T, dir string, ids ...string) ([]byte, string, *experiment.Checkpoint) {
 	t.Helper()
 	path := filepath.Join(dir, "seq.json")
 	ckpt := experiment.NewCheckpoint(path)
 	opts := chaosOpts(ckpt)
-	e, err := experiment.ByID("fig5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(opts)
-	if err != nil {
-		t.Fatal(err)
+	var tables []*experiment.Table
+	for _, id := range ids {
+		e, err := experiment.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt, err := e.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, tt...)
 	}
 	if err := ckpt.Save(); err != nil {
 		t.Fatal(err)
@@ -155,7 +160,7 @@ func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) {
 		t.Skip("chaos suite spawns subprocesses")
 	}
 	dir := t.TempDir()
-	seqBytes, seqRender, seqCkpt := runSequentialOracle(t, dir)
+	seqBytes, seqRender, seqCkpt := runSequentialOracle(t, dir, "fig5")
 
 	// The plan seam identity check rides along: every planned unit of
 	// the campaign must already be Done in the oracle's checkpoint —
@@ -245,7 +250,7 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	_, _, seqCkpt := runSequentialOracle(t, dir)
+	_, _, seqCkpt := runSequentialOracle(t, dir, "fig5")
 
 	distPath := filepath.Join(dir, "partial.json")
 	ckpt := experiment.NewCheckpoint(distPath)
@@ -338,13 +343,16 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 
 // TestMergeShardDirRecoversCoordinatorCrash: shards alone — no result
 // stream, no checkpoint — reconstruct every committed unit, the resume
-// path for a coordinator that died before its final save.
+// path for a coordinator that died before its final save. The campaign
+// spans a paper figure and an extension experiment (xline's line-size
+// sweeps), so recovery covers units planned at more than one geometry.
 func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
+	ids := []string{"fig5", "xline"}
 	dir := t.TempDir()
-	_, _, seqCkpt := runSequentialOracle(t, dir)
+	_, _, seqCkpt := runSequentialOracle(t, dir, ids...)
 
 	shardDir := filepath.Join(dir, "shards")
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
@@ -352,7 +360,7 @@ func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
 	}
 	ckpt := experiment.NewCheckpoint("")
 	opts := chaosOpts(ckpt)
-	if _, err := RunCampaign(opts, []string{"fig5"}, Options{
+	if _, err := RunCampaign(opts, ids, Options{
 		Workers:  2,
 		Command:  workerCommand,
 		ShardDir: shardDir,
@@ -364,7 +372,7 @@ func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
 
 	// Pretend the coordinator crashed before saving: a fresh checkpoint
 	// plus the shards must reconstruct everything.
-	plan, err := experiment.PlanCampaign(chaosOpts(nil), []string{"fig5"})
+	plan, err := experiment.PlanCampaign(chaosOpts(nil), ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,6 +242,14 @@ func (c *Checkpoint) Record(key string, r UnitResult) {
 	}
 }
 
+// clear drops every recorded unit.
+func (c *Checkpoint) clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.units = map[string]UnitResult{}
+	c.dirty = 0
+}
+
 // Len returns the number of recorded units.
 func (c *Checkpoint) Len() int {
 	if c == nil {

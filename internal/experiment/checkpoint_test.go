@@ -113,9 +113,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Memoized units commit instantly and would race past the interrupt
-	// threshold before the stop request lands.
-	ResetUnitMemo()
+	// The reference run went to the process-level store; the run below
+	// has its own checkpoint, so every unit simulates and the stop
+	// request lands mid-run.
 
 	path := filepath.Join(t.TempDir(), "cp.json")
 	cp := NewCheckpoint(path)

@@ -22,10 +22,10 @@ type Experiment struct {
 	Title string
 	// Run executes the experiment at the given scale.
 	Run func(Opts) ([]*Table, error)
-	// Plan, when non-nil, enumerates the experiment's distributable
-	// miss-rate work units (see plan.go). Experiments without a Plan run
-	// only in-process; their Run is unaffected either way.
-	Plan func(Opts) ([]PlannedUnit, error)
+	// Sweeps, when non-nil, declares the miss-rate sweeps Run measures
+	// and renders from; PlanCampaign plans their units for distribution
+	// (see plan.go).
+	Sweeps func(Opts) []sweep
 }
 
 var registry = map[string]Experiment{}

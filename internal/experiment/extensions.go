@@ -553,10 +553,10 @@ func runXL2(opts Opts) ([]*Table, error) {
 
 func init() {
 	register(Experiment{
-		ID:    "xline",
-		Title: "Line-size sensitivity: B-Cache reductions at 16/32/64-byte lines",
-		Run:   runXLine,
-		Plan:  planXLine,
+		ID:     "xline",
+		Title:  "Line-size sensitivity: B-Cache reductions at 16/32/64-byte lines",
+		Run:    runXLine,
+		Sweeps: xLineSweeps,
 	})
 }
 
@@ -569,6 +569,17 @@ func xLineSpecs() []Spec {
 	}
 }
 
+// xLineSweeps: every benchmark's D$ at 16-, 32- and 64-byte lines.
+func xLineSweeps(opts Opts) []sweep {
+	var sweeps []sweep
+	for _, line := range []int{16, 32, 64} {
+		o := opts
+		o.LineBytes = line
+		sweeps = append(sweeps, sweep{o, workload.All(), xLineSpecs(), dSide})
+	}
+	return sweeps
+}
+
 // runXLine re-runs the Figure 4 averages with different line sizes: the
 // paper evaluates only 32-byte lines, but the balancing mechanism should
 // be insensitive to the line size (conflicts are a set-indexing property).
@@ -576,7 +587,6 @@ func runXLine(opts Opts) ([]*Table, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	specs := xLineSpecs()
 	t := &Table{
 		ID:    "xline",
 		Title: "Average D$ miss-rate reduction vs line size (16kB)",
@@ -585,21 +595,13 @@ func runXLine(opts Opts) ([]*Table, error) {
 			"line", "4way", "8way", "MF8",
 		},
 	}
-	for _, line := range []int{16, 32, 64} {
-		o := opts
-		o.LineBytes = line
-		res, err := missRates(o, workload.All(), specs, dSide)
+	for _, sw := range xLineSweeps(opts) {
+		res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 		if err != nil {
 			return nil, err
 		}
-		avg := func(name string) float64 {
-			var sum float64
-			for _, p := range workload.All() {
-				sum += reduction(res[p.Name]["baseline"], res[p.Name][name])
-			}
-			return sum / float64(len(workload.All()))
-		}
-		t.AddRow(fmt.Sprintf("%dB", line), pct(avg("4way")), pct(avg("8way")), pct(avg("MF8")))
+		t.AddRow(fmt.Sprintf("%dB", sw.opts.LineBytes), pct(sw.meanReduction(res, "4way")),
+			pct(sw.meanReduction(res, "8way")), pct(sw.meanReduction(res, "MF8")))
 	}
 	return []*Table{t}, nil
 }

@@ -13,22 +13,22 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fig4",
-		Title: "Data cache miss rate reductions, 16kB (2/4/8/32-way, victim16, B-Cache MF=2..16 BAS=8)",
-		Run:   runFig4,
-		Plan:  planFig4,
+		ID:     "fig4",
+		Title:  "Data cache miss rate reductions, 16kB (2/4/8/32-way, victim16, B-Cache MF=2..16 BAS=8)",
+		Run:    runFig4,
+		Sweeps: fig4Sweeps,
 	})
 	register(Experiment{
-		ID:    "fig5",
-		Title: "Instruction cache miss rate reductions, 16kB (reported benchmarks)",
-		Run:   runFig5,
-		Plan:  planFig5,
+		ID:     "fig5",
+		Title:  "Instruction cache miss rate reductions, 16kB (reported benchmarks)",
+		Run:    runFig5,
+		Sweeps: fig5Sweeps,
 	})
 	register(Experiment{
-		ID:    "fig12",
-		Title: "Miss rate reductions at 8kB and 32kB (12 configurations)",
-		Run:   runFig12,
-		Plan:  planFig12,
+		ID:     "fig12",
+		Title:  "Miss rate reductions at 8kB and 32kB (12 configurations)",
+		Run:    runFig12,
+		Sweeps: fig12Sweeps,
 	})
 }
 
@@ -80,10 +80,19 @@ func specNames(specs []Spec) []string {
 	return out
 }
 
+// fig4Sweeps: every benchmark's D$ at the figure configurations.
+func fig4Sweeps(opts Opts) []sweep {
+	return []sweep{{opts, workload.All(), figureSpecs(), dSide}}
+}
+
+// fig5Sweeps: the I$ of the benchmarks Figure 5 reports.
+func fig5Sweeps(opts Opts) []sweep {
+	return []sweep{{opts, reportedICacheProfiles(), figureSpecs(), iSide}}
+}
+
 func runFig4(opts Opts) ([]*Table, error) {
-	specs := figureSpecs()
-	all := workload.All()
-	res, err := missRates(opts, all, specs, dSide)
+	sw := fig4Sweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 	if err != nil && len(res) == 0 {
 		return nil, err
 	}
@@ -92,21 +101,20 @@ func runFig4(opts Opts) ([]*Table, error) {
 	for _, suite := range []string{"CFP2K", "CINT2K"} { // paper order: FP panel first
 		tables = append(tables, reductionTable(
 			"fig4", fmt.Sprintf("D$ miss rate reductions over 16kB direct-mapped baseline (%s)", suite),
-			note, workload.Suite(suite), specs, res))
+			note, workload.Suite(suite), sw.specs, res))
 	}
 	return tables, err
 }
 
 func runFig5(opts Opts) ([]*Table, error) {
-	specs := figureSpecs()
-	reported := reportedICacheProfiles()
-	res, err := missRates(opts, reported, specs, iSide)
+	sw := fig5Sweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 	if err != nil && len(res) == 0 {
 		return nil, err
 	}
 	note := fmt.Sprintf("benchmarks with I$ miss rate ≥ 0.01%%; %d instructions", opts.Instructions)
 	t := reductionTable("fig5", "I$ miss rate reductions over 16kB direct-mapped baseline",
-		note, reported, specs, res)
+		note, sw.profiles, sw.specs, res)
 	return []*Table{t}, err
 }
 
@@ -132,55 +140,45 @@ func fig12Specs() []Spec {
 	return specs
 }
 
-func runFig12(opts Opts) ([]*Table, error) {
-	specs := fig12Specs()
-	all := workload.All()
-	var tables []*Table
-	for _, size := range []int{32 * 1024, 8 * 1024} { // paper panel order
+// fig12Sweeps: both L1 sizes in paper panel order (32kB, then 8kB),
+// each with the D$ of every benchmark, then the I$ of the reported ones.
+func fig12Sweeps(opts Opts) []sweep {
+	var sweeps []sweep
+	for _, size := range []int{32 * 1024, 8 * 1024} {
 		o := opts
 		o.L1Size = size
-		for _, s := range []struct {
-			side side
-			tag  string
-		}{{dSide, "D$"}, {iSide, "I$"}} {
-			profiles := all
-			if s.side == iSide {
-				profiles = reportedICacheProfiles()
-			}
-			res, err := missRates(o, profiles, specs, s.side)
-			if err != nil {
-				return nil, err
-			}
-			// Figure 12 plots suite averages only.
-			t := &Table{
-				ID:    "fig12",
-				Title: fmt.Sprintf("Average miss rate reductions, %dkB %s", size/1024, s.tag),
-				Note:  "averaged over the benchmarks Figures 4/5 report for this side",
-			}
-			t.Headers = append([]string{"group"}, specNames(specs)...)
-			sums := make([]float64, len(specs))
-			included := 0
-			for _, p := range profiles {
-				row, ok := res[p.Name]
-				if !ok {
-					continue
-				}
-				included++
-				base := row["baseline"]
-				for i, sp := range specs {
-					sums[i] += reduction(base, row[sp.Name])
-				}
-			}
-			if included == 0 {
-				included = 1
-			}
-			cells := []string{fmt.Sprintf("%dK %s", size/1024, s.tag)}
-			for _, v := range sums {
-				cells = append(cells, pct(v/float64(included)))
-			}
-			t.AddRow(cells...)
-			tables = append(tables, t)
+		sweeps = append(sweeps,
+			sweep{o, workload.All(), fig12Specs(), dSide},
+			sweep{o, reportedICacheProfiles(), fig12Specs(), iSide})
+	}
+	return sweeps
+}
+
+func runFig12(opts Opts) ([]*Table, error) {
+	var tables []*Table
+	for _, sw := range fig12Sweeps(opts) {
+		res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
+		if err != nil {
+			return nil, err
 		}
+		tag := "D$"
+		if sw.side == iSide {
+			tag = "I$"
+		}
+		size := sw.opts.L1Size / 1024
+		// Figure 12 plots suite averages only.
+		t := &Table{
+			ID:    "fig12",
+			Title: fmt.Sprintf("Average miss rate reductions, %dkB %s", size, tag),
+			Note:  "averaged over the benchmarks Figures 4/5 report for this side",
+		}
+		t.Headers = append([]string{"group"}, specNames(sw.specs)...)
+		cells := []string{fmt.Sprintf("%dK %s", size, tag)}
+		for _, sp := range sw.specs {
+			cells = append(cells, pct(sw.meanReduction(res, sp.Name)))
+		}
+		t.AddRow(cells...)
+		tables = append(tables, t)
 	}
 	return tables, nil
 }

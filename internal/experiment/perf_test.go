@@ -179,7 +179,7 @@ func TestTraceCacheBypass(t *testing.T) {
 // (profile, seed) keys regardless of specs, sides, or repetition.
 func TestSuiteZeroDuplicateGeneration(t *testing.T) {
 	ResetTraceCache()
-	ResetUnitMemo() // memoized units skip trace fetches entirely
+	ResetUnitMemo() // stored units skip trace fetches entirely
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	opts.Seeds = 2
@@ -240,9 +240,9 @@ func TestTimedMemoShared(t *testing.T) {
 func TestRunUnitsCoversAll(t *testing.T) {
 	const n = 1000
 	var seen [n]atomic.Int32
-	if err := runUnits(n, 8, func(i int) error {
+	if err := runUnitsCtl(n, 8, unitOpts{}, func(i int) (func(), error) {
 		seen[i].Add(1)
-		return nil
+		return nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +259,12 @@ func TestRunUnitsCoversAll(t *testing.T) {
 func TestRunUnitsSurvivesFailure(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := runUnits(1000, 1, func(i int) error {
+	err := runUnitsCtl(1000, 1, unitOpts{}, func(i int) (func(), error) {
 		ran.Add(1)
 		if i == 3 {
-			return boom
+			return nil, boom
 		}
-		return nil
+		return nil, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want %v", err, boom)
@@ -279,10 +279,10 @@ func TestRunUnitsSurvivesFailure(t *testing.T) {
 func TestRunUnitsJoinsConcurrentErrors(t *testing.T) {
 	var gate sync.WaitGroup
 	gate.Add(2)
-	err := runUnits(2, 2, func(i int) error {
+	err := runUnitsCtl(2, 2, unitOpts{}, func(i int) (func(), error) {
 		gate.Done()
 		gate.Wait() // both workers fail simultaneously
-		return fmt.Errorf("unit %d failed", i)
+		return nil, fmt.Errorf("unit %d failed", i)
 	})
 	if err == nil {
 		t.Fatal("no error returned")

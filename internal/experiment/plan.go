@@ -6,15 +6,16 @@ import (
 	"bcache/internal/workload"
 )
 
-// A Plan is the distributable view of a campaign: the deterministic,
-// enumerable list of miss-rate work units that a coordinator can lease
-// out to worker subprocesses. Each planned unit is one job of the
-// in-process scheduler — a single (profile, seed, spec) replay, or one
-// (profile, seed) stack-distance pass answering every LRU spec at once —
-// and executing it yields the same checkpoint records, under the same
-// keys, that missRates would commit. That identity is what makes the
-// coordinator's merged checkpoint bit-identical to a single-process run:
-// distribution changes where a unit runs, never what it computes.
+// A Plan is the campaign's list of miss-rate work units: a single
+// (profile, seed, spec) replay, or one (profile, seed) stack-distance
+// pass answering every LRU spec at once. planMissRates is the only
+// enumeration of these units. missRates runs the units it plans for one
+// sweep in-process, and PlanCampaign collects the units of every sweep
+// for the internal/dist coordinator to lease out to worker subprocesses.
+// Either way a unit commits the same checkpoint records under the same
+// keys, which is what makes the coordinator's merged checkpoint
+// bit-identical to a single-process run: distribution changes where a
+// unit runs, never what it computes.
 //
 // Planning is cheap (no traces are materialized) and deterministic: the
 // same Opts and experiment IDs produce the same unit list in the same
@@ -33,7 +34,7 @@ type KeyedResult struct {
 	Result UnitResult `json:"result"`
 }
 
-// PlannedUnit is one distributable work unit.
+// PlannedUnit is one miss-rate work unit.
 type PlannedUnit struct {
 	// Key names the unit: for replay units the checkpoint unit key, for
 	// profiling units the same key shape under the lru-profile pseudo
@@ -43,6 +44,11 @@ type PlannedUnit struct {
 	// spec); run executes the unit.
 	keys []string
 	run  func() ([]KeyedResult, error)
+	// group numbers the (profile, seed) trace the unit replays, unique
+	// within one planMissRates call; label names the unit for telemetry
+	// (built only when a hub is installed).
+	group int
+	label func() string
 }
 
 // Plan is an ordered, deduplicated list of planned units.
@@ -85,21 +91,31 @@ func (p *Plan) Fingerprint() uint64 {
 // Done reports whether every checkpoint key of unit i is already present
 // in cp (a nil checkpoint marks nothing done).
 func (p *Plan) Done(i int, cp *Checkpoint) bool {
-	for _, k := range p.units[i].keys {
-		if _, ok := cp.Lookup(k); !ok {
-			return false
-		}
-	}
-	return true
+	_, ok := p.units[i].stored(cp)
+	return ok
 }
 
-// PlanCampaign enumerates the distributable units of the experiments
-// named by ids (nil or empty = all registered experiments), in registry
-// order, deduplicated by unit key: experiments share units — the
-// baseline column appears in every figure — and a shared unit is planned
-// once, where it first appears. Experiments without a Plan hook (the
-// analytic tables, the timed IPC runs) contribute nothing and simply run
-// in-process after the merge.
+// stored returns the unit's records from cp when every key it commits
+// is there.
+func (u *PlannedUnit) stored(cp *Checkpoint) ([]KeyedResult, bool) {
+	out := make([]KeyedResult, len(u.keys))
+	for x, k := range u.keys {
+		r, ok := cp.Lookup(k)
+		if !ok {
+			return nil, false
+		}
+		out[x] = KeyedResult{Key: k, Result: r}
+	}
+	return out, true
+}
+
+// PlanCampaign enumerates the miss-rate units of the experiments named
+// by ids (nil or empty = all registered experiments): every sweep of
+// every experiment, in registry order, deduplicated by unit key.
+// Experiments share units — the baseline column appears in every
+// figure — and a shared unit is planned once, where it first appears.
+// Experiments without sweeps (the analytic tables, the timed IPC runs)
+// contribute nothing and simply run in-process after the merge.
 func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -119,38 +135,56 @@ func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 	plan := &Plan{}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.Plan == nil {
+		if e.Sweeps == nil {
 			continue
 		}
-		units, err := e.Plan(opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: planning %s: %w", e.ID, err)
-		}
-		for _, u := range units {
-			if seen[u.Key] {
-				continue
+		for _, sw := range e.Sweeps(opts) {
+			for _, u := range planMissRates(sw.opts, sw.profiles, sw.specs, sw.side) {
+				if !seen[u.Key] {
+					seen[u.Key] = true
+					plan.units = append(plan.units, u)
+				}
 			}
-			seen[u.Key] = true
-			plan.units = append(plan.units, u)
 		}
 	}
 	return plan, nil
 }
 
-// planMissRates enumerates the units missRates would schedule for one
-// (profiles, specs, side) call: the job construction below mirrors
-// missRates exactly — one profiling job per (profile, seed) when any
-// pure-LRU spec is profileable, plus one replay job per remaining spec —
-// so the distributed unit space is the in-process unit space.
+// A sweep is one miss-rate measurement an experiment declares: every
+// profile against the baseline and each spec on one cache side, at the
+// scale and geometry of opts. The experiment's Run function renders
+// from missRates over its sweeps, and PlanCampaign plans the same
+// sweeps, so the two cannot disagree about the unit space.
+type sweep struct {
+	opts     Opts
+	profiles []*workload.Profile
+	specs    []Spec
+	side     side
+}
+
+// meanReduction averages spec name's miss-rate reduction over the
+// sweep's profiles; res must hold every profile.
+func (w sweep) meanReduction(res map[string]map[string]missRun, name string) float64 {
+	var sum float64
+	for _, p := range w.profiles {
+		sum += reduction(res[p.Name]["baseline"], res[p.Name][name])
+	}
+	return sum / float64(len(w.profiles))
+}
+
+// planMissRates enumerates the units of one (profiles, specs, side)
+// sweep: per (profile, seed), one profiling unit when any pure-LRU spec
+// is profileable, then one replay unit per remaining spec.
 func planMissRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) []PlannedUnit {
 	all := append([]Spec{baselineSpec()}, specs...)
 	seeds := opts.seeds()
 	lru, replayed := lruSpecIndices(opts, all)
 	var units []PlannedUnit
-	for _, p := range profiles {
+	for pi, p := range profiles {
 		p := p
 		for k := 0; k < seeds; k++ {
 			k := k
+			group := pi*seeds + k
 			if len(lru) > 0 {
 				keys := make([]string, len(lru))
 				for x, si := range lru {
@@ -170,6 +204,8 @@ func planMissRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side
 						}
 						return out, nil
 					},
+					group: group,
+					label: func() string { return fmt.Sprintf("%s/%s/seed%d", p.Name, profileSpecName, k) },
 				})
 			}
 			for _, si := range replayed {
@@ -185,6 +221,8 @@ func planMissRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side
 						}
 						return []KeyedResult{{Key: key, Result: u}}, nil
 					},
+					group: group,
+					label: func() string { return fmt.Sprintf("%s/%s/seed%d", p.Name, spec.Name, k) },
 				})
 			}
 		}
@@ -201,43 +239,4 @@ func reportedICacheProfiles() []*workload.Profile {
 		}
 	}
 	return reported
-}
-
-// planFig4 mirrors runFig4's missRates call.
-func planFig4(opts Opts) ([]PlannedUnit, error) {
-	return planMissRates(opts, workload.All(), figureSpecs(), dSide), nil
-}
-
-// planFig5 mirrors runFig5's missRates call.
-func planFig5(opts Opts) ([]PlannedUnit, error) {
-	return planMissRates(opts, reportedICacheProfiles(), figureSpecs(), iSide), nil
-}
-
-// planFig12 mirrors runFig12's size × side sweep.
-func planFig12(opts Opts) ([]PlannedUnit, error) {
-	specs := fig12Specs()
-	var units []PlannedUnit
-	for _, size := range []int{32 * 1024, 8 * 1024} {
-		o := opts
-		o.L1Size = size
-		units = append(units, planMissRates(o, workload.All(), specs, dSide)...)
-		units = append(units, planMissRates(o, reportedICacheProfiles(), specs, iSide)...)
-	}
-	return units, nil
-}
-
-// planDesignSpace mirrors designSpace's missRates call (Tables 5 and 6).
-func planDesignSpace(opts Opts) ([]PlannedUnit, error) {
-	return planMissRates(opts, workload.All(), designSpecs(), dSide), nil
-}
-
-// planXLine mirrors runXLine's per-line-size missRates calls.
-func planXLine(opts Opts) ([]PlannedUnit, error) {
-	var units []PlannedUnit
-	for _, line := range []int{16, 32, 64} {
-		o := opts
-		o.LineBytes = line
-		units = append(units, planMissRates(o, workload.All(), xLineSpecs(), dSide)...)
-	}
-	return units, nil
 }

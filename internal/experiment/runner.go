@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"bcache/internal/addr"
@@ -38,7 +37,8 @@ type Opts struct {
 	TraceBytes int64
 	// Checkpoint, when non-nil, records every completed miss-rate work
 	// unit and lets an interrupted run resume bit-identically: units
-	// found in the checkpoint are not re-simulated.
+	// found in the checkpoint are not re-simulated. nil uses one
+	// process-level in-memory store (see Opts.store).
 	Checkpoint *Checkpoint
 	// UnitTimeout abandons a single work unit running longer than this
 	// (0 = no deadline); abandoned and ErrTransient units are retried
@@ -258,43 +258,38 @@ type missRun struct {
 	pdHitDuringMiss float64
 }
 
-// unitKey names one (side, scale, spec, seed, profile) work unit for the
-// checkpoint and the in-process unit memo. The key is self-describing —
-// it embeds everything the stored counters depend on — so a checkpoint
-// written at one scale can never poison a resume at another. specKey is
-// the spec's canonical configuration key (Spec.key), not its display
-// name, so experiments that render the same configuration under
-// different column names share one simulation. v2: specs are keyed
-// canonically (v1 used display names).
+// unitKey names one (side, scale, spec, seed, profile) work unit in the
+// result store. The key is self-describing — it embeds everything the
+// stored counters depend on — so a checkpoint written at one scale can
+// never poison a resume at another. specKey is the spec's canonical
+// configuration key (Spec.key), not its display name, so experiments
+// that render the same configuration under different column names share
+// one simulation. v2: specs are keyed canonically (v1 used display
+// names).
 func unitKey(opts Opts, s side, specKey string, seedIdx int, profile string) string {
 	return fmt.Sprintf("v2|side=%d|n=%d|size=%d|line=%d|spec=%s|seed=%d|prof=%s",
 		s, opts.Instructions, opts.L1Size, opts.LineBytes, specKey, seedIdx, profile)
 }
 
-// unitMemo shares completed work units across experiments in one
-// process: fig4, fig12, table5/6, xline, and xrelated overlap heavily in
-// (configuration, profile, scale) space, and a unit's counters are a
-// pure function of its unitKey. Lookup order in missRates is checkpoint
-// first (resume semantics unchanged), then this memo, then simulation;
-// every simulated or checkpoint-restored unit is published here.
-var unitMemo sync.Map // unitKey string -> UnitResult
+// memStore is the result store of runs without a checkpoint. fig4,
+// fig12, table5/6 and xline overlap heavily in (configuration, profile,
+// scale) space, and a unit's counters are a pure function of its
+// unitKey, so one process-level store lets every experiment reuse the
+// units an earlier one simulated.
+var memStore = NewCheckpoint("")
 
-// ResetUnitMemo drops all cross-experiment unit results (test hook and
-// perfbench cold-start).
-func ResetUnitMemo() {
-	unitMemo.Range(func(k, _ any) bool {
-		unitMemo.Delete(k)
-		return true
-	})
-}
-
-// memoLookup consults the cross-experiment memo.
-func memoLookup(key string) (UnitResult, bool) {
-	if v, ok := unitMemo.Load(key); ok {
-		return v.(UnitResult), true
+// store returns the result store missRates reads and commits to:
+// opts.Checkpoint when set, else the process-level memStore.
+func (o Opts) store() *Checkpoint {
+	if o.Checkpoint != nil {
+		return o.Checkpoint
 	}
-	return UnitResult{}, false
+	return memStore
 }
+
+// ResetUnitMemo drops every unit result of checkpoint-less runs (test
+// hook and perfbench cold-start).
+func ResetUnitMemo() { memStore.clear() }
 
 // profileLRU answers every spec in lru (indices into all, each with
 // LRUWays set) for one materialized trace side with a single Mattson
@@ -328,9 +323,9 @@ func profileLRU(feed func(*stackdist.Profile), opts Opts, all []Spec, lru []int)
 
 // execReplayUnit runs one (profile, seed, spec) replay: materialize (or
 // fetch) the trace, build the cache, replay the side, and return the raw
-// counters. It is the single execution path behind both the in-process
-// scheduler (missRates) and the distributed plan (plan.go), so a unit
-// computed in a worker subprocess is bit-identical to one computed here.
+// counters. Every planned replay unit runs through it, in-process
+// (missRates) or in a worker subprocess (Plan.Execute), so both compute
+// bit-identical counters.
 func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (UnitResult, error) {
 	c, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
@@ -362,8 +357,8 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (U
 }
 
 // execProfileUnit runs one (profile, seed) stack-distance pass answering
-// every LRU spec in lru (indices into all) at once. Like execReplayUnit
-// it is shared between the in-process scheduler and the distributed plan.
+// every LRU spec in lru (indices into all) at once: the execution path
+// of every planned profiling unit, like execReplayUnit for replays.
 func execProfileUnit(opts Opts, s side, p *workload.Profile, all []Spec, lru []int, k int) ([]UnitResult, error) {
 	var feed func(*stackdist.Profile)
 	switch s {
@@ -413,173 +408,77 @@ func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
 // missRates runs all profiles × (baseline + specs) on one cache side and
 // returns results[profile][specName] plus the baseline under "baseline".
 //
-// Pure-LRU set-associative specs (Spec.LRUWays > 0) are not replayed
-// one cache at a time: each (profile, seed) trace feeds one profiling
-// unit whose single stack-distance pass answers all of them at once
-// (profileLRU). Every other spec — B-Cache, victim, random/FIFO, the
-// related-work designs — replays as its own (profile, seed, spec) unit,
-// and Opts.DisableStackDist forces the LRU specs down that replay path
-// too, which is the differential oracle the profiler is tested against.
-// Units still saturate the machine: the grain is never coarser than one
-// (profile, seed) trace.
+// The units are planMissRates's. Pure-LRU set-associative specs
+// (Spec.LRUWays > 0) are not replayed one cache at a time: each
+// (profile, seed) trace feeds one profiling unit whose single
+// stack-distance pass answers all of them at once (profileLRU). Every
+// other spec — B-Cache, victim, random/FIFO, the related-work designs —
+// replays as its own (profile, seed, spec) unit, and
+// Opts.DisableStackDist forces the LRU specs down that replay path too,
+// which is the differential oracle the profiler is tested against.
 //
-// Failed or interrupted units do not void the run: the returned map
-// holds every profile whose units all completed, alongside the joined
-// error, so callers can render partial results. Units found in
-// opts.Checkpoint are restored instead of re-simulated (bit-identically:
-// the checkpoint stores the raw counters, and profiled counts equal
-// replayed counts), and completed units are recorded there as they
-// finish under the same per-spec keys either way.
+// A unit whose keys are all in the result store (Opts.store) is
+// restored instead of re-simulated, bit-identically: the store holds
+// the raw counters, and profiled counts equal replayed counts. A
+// simulated unit is recorded there as it commits. Failed or interrupted
+// units do not void the run: the returned map holds every profile whose
+// units all completed, alongside the joined error, so callers can
+// render partial results.
 func missRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) (map[string]map[string]missRun, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	all := append([]Spec{baselineSpec()}, specs...)
-	seeds := opts.seeds()
-	cp := opts.Checkpoint
-	lru, replayed := lruSpecIndices(opts, all)
-
-	// jobs: per (profile, seed), one profiling job covering every LRU
-	// spec (specIdx < 0) plus one replay job per remaining spec.
-	type job struct {
-		pi, k   int
-		specIdx int
-	}
-	jobsPerSeed := len(replayed)
-	if len(lru) > 0 {
-		jobsPerSeed++
-	}
-	jobs := make([]job, 0, len(profiles)*seeds*jobsPerSeed)
-	for pi := range profiles {
-		for k := 0; k < seeds; k++ {
-			if len(lru) > 0 {
-				jobs = append(jobs, job{pi, k, -1})
-			}
-			for _, si := range replayed {
-				jobs = append(jobs, job{pi, k, si})
-			}
-		}
-	}
-
-	// One slot per (profile, seed, spec) result, written only by its
-	// owner job's commit closure on the worker goroutine; reduced below.
-	perSeed := seeds * len(all)
-	units := make([]UnitResult, len(profiles)*perSeed)
-	done := make([]bool, len(units))
-	slot := func(pi, k, si int) int { return pi*perSeed + k*len(all) + si }
+	units := planMissRates(opts, profiles, specs, s)
+	store := opts.store()
+	tel := CurrentTelemetry()
+	// One slot per unit, written only by that unit's commit closure on
+	// the worker goroutine; reduced below.
+	done := make([][]KeyedResult, len(units))
 	uo := unitOpts{
 		Timeout: opts.UnitTimeout,
 		Retries: opts.UnitRetries,
-		Label: func(i int) string {
-			j := jobs[i]
-			if j.specIdx >= 0 {
-				return fmt.Sprintf("%s/%s/seed%d", profiles[j.pi].Name, all[j.specIdx].Name, j.k)
-			}
-			return fmt.Sprintf("%s/lru-profile/seed%d", profiles[j.pi].Name, j.k)
-		},
-		// Every job of one (profile, seed) replays the same trace.
-		Group: func(i int) int { return jobs[i].pi*seeds + jobs[i].k },
+		Label:   func(i int) string { return units[i].label() },
+		// Every unit of one (profile, seed) replays the same trace.
+		Group: func(i int) int { return units[i].group },
 	}
-	tel := CurrentTelemetry()
-	err := runUnitsCtl(len(jobs), opts.workers(), uo, func(i int) (func(), error) {
-		j := jobs[i]
-		p := profiles[j.pi]
-		if j.specIdx >= 0 {
-			// Replay job: one cache, one spec.
-			spec := all[j.specIdx]
-			key := unitKey(opts, s, spec.key(), j.k, p.Name)
-			idx := slot(j.pi, j.k, j.specIdx)
-			if u, ok := cp.Lookup(key); ok {
-				return func() {
-					units[idx], done[idx] = u, true
-					unitMemo.Store(key, u)
-				}, nil
-			}
-			if u, ok := memoLookup(key); ok {
-				// Another experiment already simulated this exact unit.
-				return func() {
-					units[idx], done[idx] = u, true
-					cp.Record(key, u)
-				}, nil
-			}
-			u, err := execReplayUnit(opts, s, p, spec, j.k)
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				units[idx], done[idx] = u, true
-				cp.Record(key, u)
-				unitMemo.Store(key, u)
-				tel.addAccesses(u.Accesses)
-			}, nil
+	err := runUnitsCtl(len(units), opts.workers(), uo, func(i int) (func(), error) {
+		if res, ok := units[i].stored(store); ok {
+			return func() { done[i] = res }, nil
 		}
-
-		// Profiling job: one stack-distance pass, every LRU spec.
-		keys := make([]string, len(lru))
-		for x, si := range lru {
-			keys[x] = unitKey(opts, s, all[si].key(), j.k, p.Name)
-		}
-		restored := make([]UnitResult, len(lru))
-		lookup := func(get func(string) (UnitResult, bool)) bool {
-			for x := range keys {
-				u, ok := get(keys[x])
-				if !ok {
-					return false
-				}
-				restored[x] = u
-			}
-			return true
-		}
-		if lookup(cp.Lookup) {
-			return func() {
-				for x, si := range lru {
-					idx := slot(j.pi, j.k, si)
-					units[idx], done[idx] = restored[x], true
-					unitMemo.Store(keys[x], restored[x])
-				}
-			}, nil
-		}
-		if lookup(memoLookup) {
-			return func() {
-				for x, si := range lru {
-					idx := slot(j.pi, j.k, si)
-					units[idx], done[idx] = restored[x], true
-					cp.Record(keys[x], restored[x])
-				}
-			}, nil
-		}
-		res, err := execProfileUnit(opts, s, p, all, lru, j.k)
+		res, err := units[i].run()
 		if err != nil {
 			return nil, err
 		}
 		return func() {
-			for x, si := range lru {
-				idx := slot(j.pi, j.k, si)
-				units[idx], done[idx] = res[x], true
-				cp.Record(keys[x], res[x])
-				unitMemo.Store(keys[x], res[x])
+			for _, r := range res {
+				store.Record(r.Key, r.Result)
 			}
-			if len(res) > 0 {
-				// One profiling pass replays the trace once, however many
-				// specs it answers.
-				tel.addAccesses(res[0].Accesses)
-			}
+			// One unit replays the trace once, however many specs it
+			// answers.
+			tel.addAccesses(res[0].Result.Accesses)
+			done[i] = res
 		}, nil
 	})
 
+	byKey := make(map[string]UnitResult)
+	for _, res := range done {
+		for _, r := range res {
+			byKey[r.Key] = r.Result
+		}
+	}
+	all := append([]Spec{baselineSpec()}, specs...)
 	results := make(map[string]map[string]missRun, len(profiles))
-	for pi, p := range profiles {
+	for _, p := range profiles {
 		row := make(map[string]missRun, len(all))
 		complete := true
-		for si, spec := range all {
+		for _, spec := range all {
 			var r missRun
-			for k := 0; k < seeds; k++ {
-				idx := pi*perSeed + k*len(all) + si
-				if !done[idx] {
+			for k := 0; k < opts.seeds(); k++ {
+				u, ok := byKey[unitKey(opts, s, spec.key(), k, p.Name)]
+				if !ok {
 					complete = false
 					break
 				}
-				u := units[idx]
 				r.misses += u.Misses
 				r.accesses += u.Accesses
 				r.pdHit += u.PDHit
@@ -597,10 +496,7 @@ func missRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) (m
 			results[p.Name] = row
 		}
 	}
-	if err != nil {
-		return results, err
-	}
-	return results, nil
+	return results, err
 }
 
 // reduction converts a (baseline, config) miss pair into the paper's

@@ -353,29 +353,17 @@ func protectUnit(i int, fn func(int) (func(), error)) (commit func(), err error)
 	return fn(i)
 }
 
-// runUnits is the plain-grain scheduler: fn both computes and stores its
-// result (safe because without a deadline no call is ever abandoned).
-func runUnits(n, workers int, fn func(int) error) error {
-	return runUnitsLabeled(n, workers, nil, fn)
-}
-
-// runUnitsLabeled is runUnits with telemetry labels for the units.
-func runUnitsLabeled(n, workers int, label func(i int) string, fn func(int) error) error {
-	return runUnitsCtl(n, workers, unitOpts{Label: label}, func(i int) (func(), error) {
-		return nil, fn(i)
-	})
-}
-
 // forEachProfile runs fn over profiles with bounded parallelism.
 // Experiments whose work does not decompose further use this; the
-// miss-rate and timed paths schedule finer units directly.
+// miss-rate and timed paths schedule finer units directly. fn both
+// computes and stores its result, which is safe because without a
+// deadline no call is ever abandoned.
 func forEachProfile(profiles []*workload.Profile, workers int, fn func(*workload.Profile) error) error {
-	return runUnitsLabeled(len(profiles), workers,
-		func(i int) string { return profiles[i].Name },
-		func(i int) error {
-			if err := fn(profiles[i]); err != nil {
-				return fmt.Errorf("%s: %w", profiles[i].Name, err)
-			}
-			return nil
-		})
+	uo := unitOpts{Label: func(i int) string { return profiles[i].Name }}
+	return runUnitsCtl(len(profiles), workers, uo, func(i int) (func(), error) {
+		if err := fn(profiles[i]); err != nil {
+			return nil, fmt.Errorf("%s: %w", profiles[i].Name, err)
+		}
+		return nil, nil
+	})
 }

@@ -16,16 +16,16 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "table5",
-		Title: "Average D$ miss rate reduction at varied MF, BAS (and PD length)",
-		Run:   runTable5,
-		Plan:  planDesignSpace,
+		ID:     "table5",
+		Title:  "Average D$ miss rate reduction at varied MF, BAS (and PD length)",
+		Run:    runTable5,
+		Sweeps: designSweeps,
 	})
 	register(Experiment{
-		ID:    "table6",
-		Title: "PD hit rate during cache misses at varied MF, BAS (and PD length)",
-		Run:   runTable6,
-		Plan:  planDesignSpace,
+		ID:     "table6",
+		Title:  "PD hit rate during cache misses at varied MF, BAS (and PD length)",
+		Run:    runTable6,
+		Sweeps: designSweeps,
 	})
 }
 
@@ -42,12 +42,16 @@ func designSpecs() []Spec {
 	return specs
 }
 
+// designSweeps: every benchmark's D$ across the MF × BAS sweep.
+func designSweeps(opts Opts) []sweep {
+	return []sweep{{opts, workload.All(), designSpecs(), dSide}}
+}
+
 // designSpace runs the MF × BAS sweep once and returns, per BAS, the
 // averaged reduction and PD hit rate per MF.
 func designSpace(opts Opts) (reductions, pdHits map[int]map[int]float64, err error) {
-	specs := designSpecs()
-	all := workload.All()
-	res, err := missRates(opts, all, specs, dSide)
+	sw := designSweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,15 +60,12 @@ func designSpace(opts Opts) (reductions, pdHits map[int]map[int]float64, err err
 	for _, bas := range []int{4, 8} {
 		for _, mf := range []int{2, 4, 8, 16} {
 			name := fmt.Sprintf("mf%d-bas%d", mf, bas)
-			var red, pd float64
-			for _, p := range all {
-				base := res[p.Name]["baseline"]
-				r := res[p.Name][name]
-				red += reduction(base, r)
-				pd += r.pdHitDuringMiss
+			var pd float64
+			for _, p := range sw.profiles {
+				pd += res[p.Name][name].pdHitDuringMiss
 			}
-			reductions[bas][mf] = red / float64(len(all))
-			pdHits[bas][mf] = pd / float64(len(all))
+			reductions[bas][mf] = sw.meanReduction(res, name)
+			pdHits[bas][mf] = pd / float64(len(sw.profiles))
 		}
 	}
 	return reductions, pdHits, nil

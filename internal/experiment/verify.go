@@ -164,18 +164,14 @@ func checkFig3Cliff(opts Opts) (string, bool, error) {
 // fig4Averages runs the Figure 4 sweep once and returns suite-average
 // reductions per spec name.
 func fig4Averages(opts Opts) (map[string]float64, map[string]map[string]missRun, error) {
-	specs := figureSpecs()
-	res, err := missRates(opts, workload.All(), specs, dSide)
+	sw := fig4Sweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 	if err != nil {
 		return nil, nil, err
 	}
 	avg := map[string]float64{}
-	for _, s := range specs {
-		var sum float64
-		for _, p := range workload.All() {
-			sum += reduction(res[p.Name]["baseline"], res[p.Name][s.Name])
-		}
-		avg[s.Name] = sum / float64(len(workload.All()))
+	for _, s := range sw.specs {
+		avg[s.Name] = sw.meanReduction(res, s.Name)
 	}
 	return avg, res, nil
 }
@@ -241,25 +237,12 @@ func checkWupwise(opts Opts) (string, bool, error) {
 }
 
 func checkFig5(opts Opts) (string, bool, error) {
-	var reported []*workload.Profile
-	for _, p := range workload.All() {
-		if workload.IsReportedICache(p.Name) {
-			reported = append(reported, p)
-		}
-	}
-	specs := figureSpecs()
-	res, err := missRates(opts, reported, specs, iSide)
+	sw := fig5Sweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 	if err != nil {
 		return "", false, err
 	}
-	avg := func(name string) float64 {
-		var sum float64
-		for _, p := range reported {
-			sum += reduction(res[p.Name]["baseline"], res[p.Name][name])
-		}
-		return sum / float64(len(reported))
-	}
-	bc, v, w8 := avg("MF8"), avg("victim16"), avg("8way")
+	bc, v, w8 := sw.meanReduction(res, "MF8"), sw.meanReduction(res, "victim16"), sw.meanReduction(res, "8way")
 	msg := fmt.Sprintf("B-Cache %.1f%%, 8way %.1f%%, victim16 %.1f%%", 100*bc, 100*w8, 100*v)
 	return msg, bc >= w8*0.95 && bc-v > 0.20, nil
 }

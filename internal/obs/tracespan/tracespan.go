@@ -46,17 +46,6 @@ const (
 	KindTraceHit = "trace_hit"
 	// KindTraceBuild is a trace-cache miss plus the build that filled it.
 	KindTraceBuild = "trace_build"
-	// KindTraceRebuild, KindTraceSpill and KindTraceReload belong to the
-	// retired spill-to-disk trace tier: nothing emits them any more, and
-	// they stay so journal readers built against them keep compiling.
-	//
-	// KindTraceRebuild marks a checksum-failed entry being discarded.
-	KindTraceRebuild = "trace_rebuild"
-	// KindTraceSpill marks an evicted trace being written to disk.
-	KindTraceSpill = "trace_spill"
-	// KindTraceReload marks a spilled trace being read back from disk
-	// (dur carries the decode time, like trace_build).
-	KindTraceReload = "trace_reload"
 	// KindExperiment is one whole experiment from the CLI's perspective.
 	KindExperiment = "experiment"
 	// KindLease marks a distributed lease being granted (Detail carries
