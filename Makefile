@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-obs bench-perf bench-perf-json bench-compare mem-ceiling telemetry-smoke chaos clean
+.PHONY: all build test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-obs bench-perf bench-perf-json bench-compare bench-e2e mem-ceiling telemetry-smoke chaos clean
 
 # benchstat-friendly repetition count for bench-perf.
 BENCH_COUNT ?= 6
@@ -107,6 +107,16 @@ chaos:
 # time.
 bench-compare:
 	$(GO) run ./cmd/perfbench -compare BENCH_perf.json -kernel-accesses 10000000
+
+# bench-e2e measures the end-to-end benchmark (benchmark/run.py; see
+# benchmark/README.md) on each declared workload in turn, untraced, for
+# 30 s of runs each, and prints one JSON result per workload. It is a
+# measurement, not a gate, so ci does not run it; before/after numbers
+# for a change come from running it on both trees.
+bench-e2e:
+	@for w in campaign missrate ipc; do \
+		python3 benchmark/run.py --workload $$w --seconds 30 --trace 0 || exit 1; \
+	done
 
 # mem-ceiling checks the resident trace-cache peak recorded by the last
 # `make bench-perf-json` suite pass against the 256 MiB budget (see

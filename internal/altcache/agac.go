@@ -232,6 +232,11 @@ func (c *AGAC) Name() string {
 	return fmt.Sprintf("%dkB-agac%d", c.geom.SizeBytes/1024, len(c.dir))
 }
 
+// ExtraLatencySum returns cache.Result.ExtraLatency summed over every
+// access since construction or the last Reset: each relocated hit
+// costs two extra cycles.
+func (c *AGAC) ExtraLatencySum() uint64 { return 2 * c.RelocatedHits }
+
 // Reset implements cache.Cache.
 func (c *AGAC) Reset() {
 	for i := range c.lines {

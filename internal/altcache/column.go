@@ -143,6 +143,11 @@ func (c *Column) Name() string {
 	return fmt.Sprintf("%dkB-column", c.geom.SizeBytes/1024)
 }
 
+// ExtraLatencySum returns cache.Result.ExtraLatency summed over every
+// access since construction or the last Reset: each second-probe hit
+// costs one extra cycle.
+func (c *Column) ExtraLatencySum() uint64 { return c.SecondHits }
+
 // Reset implements cache.Cache.
 func (c *Column) Reset() {
 	for i := range c.lines {

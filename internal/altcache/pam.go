@@ -165,6 +165,11 @@ func (c *PAM) Name() string {
 	return fmt.Sprintf("%dkB-pam%dway-p%d", c.geom.SizeBytes/1024, c.geom.Ways, c.partBits)
 }
 
+// ExtraLatencySum returns cache.Result.ExtraLatency summed over every
+// access since construction or the last Reset: each slow hit
+// costs one extra cycle.
+func (c *PAM) ExtraLatencySum() uint64 { return c.SlowHits }
+
 // Reset implements cache.Cache.
 func (c *PAM) Reset() {
 	for i := range c.lines {

@@ -159,6 +159,11 @@ func (c *PSA) Geometry() cache.Geometry { return c.geom }
 // Name implements cache.Cache.
 func (c *PSA) Name() string { return fmt.Sprintf("%dkB-psa", c.geom.SizeBytes/1024) }
 
+// ExtraLatencySum returns cache.Result.ExtraLatency summed over every
+// access since construction or the last Reset: each second-probe hit
+// costs one extra cycle.
+func (c *PSA) ExtraLatencySum() uint64 { return c.SecondProbeHits }
+
 // Reset implements cache.Cache.
 func (c *PSA) Reset() {
 	for i := range c.lines {

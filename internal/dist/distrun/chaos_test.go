@@ -344,13 +344,15 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 // TestMergeShardDirRecoversCoordinatorCrash: shards alone — no result
 // stream, no checkpoint — reconstruct every committed unit, the resume
 // path for a coordinator that died before its final save. The campaign
-// spans a paper figure and an extension experiment (xline's line-size
-// sweeps), so recovery covers units planned at more than one geometry.
+// spans a paper figure and two extension experiments (xline's line-size
+// sweeps and xrelated's related-work designs), so recovery covers units
+// planned at more than one geometry and carries each unit's extra hit
+// latency through the worker shards and the merge.
 func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	ids := []string{"fig5", "xline"}
+	ids := []string{"fig5", "xline", "xrelated"}
 	dir := t.TempDir()
 	_, _, seqCkpt := runSequentialOracle(t, dir, ids...)
 

@@ -28,6 +28,10 @@ type UnitResult struct {
 	Accesses uint64 `json:"accesses"`
 	PDHit    uint64 `json:"pdHit,omitempty"`
 	PDMiss   uint64 `json:"pdMiss,omitempty"`
+	// Extra sums Result.ExtraLatency over the unit's hits: the cycles
+	// its hits cost beyond a one-cycle primary probe (0 for the
+	// set-associative shapes and the B-Cache).
+	Extra uint64 `json:"extra,omitempty"`
 }
 
 // checkpointFile is the on-disk layout.

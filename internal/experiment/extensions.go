@@ -24,9 +24,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "xrelated",
-		Title: "Related-work comparison: miss-rate reduction and hit latency per design (§7)",
-		Run:   runXRelated,
+		ID:     "xrelated",
+		Title:  "Related-work comparison: miss-rate reduction and hit latency per design (§7)",
+		Run:    runXRelated,
+		Sweeps: xRelatedSweeps,
 	})
 	register(Experiment{
 		ID:    "xvipt",
@@ -51,19 +52,19 @@ func relatedSpecs() []Spec {
 		setAssocSpec(2, 0),
 		setAssocSpec(4, 0),
 		setAssocSpec(8, 0),
-		{Name: "column", New: func(size, line int) (cache.Cache, error) {
+		{Name: "column", Key: "column", New: func(size, line int) (cache.Cache, error) {
 			return altcache.NewColumn(size, line)
 		}},
-		{Name: "skewed2", New: func(size, line int) (cache.Cache, error) {
+		{Name: "skewed2", Key: "skewed2:seed1", New: func(size, line int) (cache.Cache, error) {
 			return altcache.NewSkewed(size, line, rng.New(1))
 		}},
-		{Name: "psa", New: func(size, line int) (cache.Cache, error) {
+		{Name: "psa", Key: "psa:10", New: func(size, line int) (cache.Cache, error) {
 			return altcache.NewPSA(size, line, 10)
 		}},
-		{Name: "agac", New: func(size, line int) (cache.Cache, error) {
+		{Name: "agac", Key: "agac:32:4096", New: func(size, line int) (cache.Cache, error) {
 			return altcache.NewAGAC(size, line, 32, 4096)
 		}},
-		{Name: "pam4", New: func(size, line int) (cache.Cache, error) {
+		{Name: "pam4", Key: "pam:4:5", New: func(size, line int) (cache.Cache, error) {
 			return altcache.NewPAM(size, line, 4, 5)
 		}},
 		victimSpec(16),
@@ -72,51 +73,21 @@ func relatedSpecs() []Spec {
 	}
 }
 
+// xRelatedSweeps: every benchmark's D$ against each related design,
+// canonical seed only. dm, 2/4/8-way, victim16 and MF8 are Figure 4's
+// units, served from the result store when fig4 has run.
+func xRelatedSweeps(opts Opts) []sweep {
+	o := opts
+	o.Seeds = 1
+	return []sweep{{o, workload.All(), relatedSpecs(), dSide}}
+}
+
 func runXRelated(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
+	sw := xRelatedSweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
+	if err != nil {
 		return nil, err
 	}
-	specs := relatedSpecs()
-	all := workload.All()
-
-	type agg struct {
-		baseMisses, misses uint64
-		hits, extra        uint64
-	}
-	sums := make(map[string]*agg, len(specs))
-	for _, s := range specs {
-		sums[s.Name] = &agg{}
-	}
-
-	for _, p := range all {
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, err
-		}
-		base, err := baselineSpec().New(opts.L1Size, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		replayData(at.accs, base)
-		baseMisses := base.Stats().Misses
-		for _, s := range specs {
-			c, err := s.New(opts.L1Size, opts.LineBytes)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", p.Name, s.Name, err)
-			}
-			a := sums[s.Name]
-			for _, m := range at.accs {
-				r := c.Access(m.Addr(), m.Write())
-				if r.Hit {
-					a.hits++
-					a.extra += uint64(r.ExtraLatency)
-				}
-			}
-			a.baseMisses += baseMisses
-			a.misses += c.Stats().Misses
-		}
-	}
-
 	t := &Table{
 		ID:    "xrelated",
 		Title: "Related-work designs on the full suite (D$, 16kB): reduction vs baseline and mean hit latency",
@@ -125,20 +96,39 @@ func runXRelated(opts Opts) ([]*Table, error) {
 			"design", "miss-reduction", "mean-hit-latency",
 		},
 	}
-	for _, s := range specs {
-		a := sums[s.Name]
+	for _, s := range sw.specs {
+		var baseMisses, misses, hits, extra uint64
+		for _, p := range sw.profiles {
+			r := res[p.Name][s.Name]
+			baseMisses += res[p.Name]["baseline"].misses
+			misses += r.misses
+			hits += r.accesses - r.misses
+			extra += r.extra
+		}
 		red := 0.0
-		if a.baseMisses > 0 {
-			red = 1 - float64(a.misses)/float64(a.baseMisses)
+		if baseMisses > 0 {
+			red = 1 - float64(misses)/float64(baseMisses)
 		}
 		lat := 1.0
-		if a.hits > 0 {
-			lat = 1 + float64(a.extra)/float64(a.hits)
+		if hits > 0 {
+			lat = 1 + float64(extra)/float64(hits)
 		}
 		t.AddRow(s.Name, pct(red), fmt.Sprintf("%.3f", lat))
 	}
 	return []*Table{t}, nil
 }
+
+// l1Cache builds the level-one cache the dm-vs-B-Cache experiments compare:
+// the direct-mapped baseline, or the paper's B-Cache (MF=8, BAS=8).
+func l1Cache(opts Opts, bcache bool) (cache.Cache, error) {
+	if bcache {
+		return core.New(paperBCacheConfig(opts))
+	}
+	return cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
+}
+
+// dmBC names the two L1s of l1Cache, indexed by its bcache flag.
+var dmBC = [2]string{"dm", "bc"}
 
 func runXVIPT(opts Opts) ([]*Table, error) {
 	if err := opts.validate(); err != nil {
@@ -153,63 +143,60 @@ func runXVIPT(opts Opts) ([]*Table, error) {
 			"benchmark", "physical", "vipt-colored", "vipt-arbitrary", "tlb-miss",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "gcc", "mcf"} {
-		p, err := workload.ByName(name)
+	profiles := namedProfiles("equake", "crafty", "gcc", "mcf")
+	// Three cells per benchmark: the PIPT reference, then VIPT over a
+	// colored and over an arbitrary allocator. Each cell builds its own
+	// address space; frames are allocated on first touch from a seeded
+	// source, so the reference and the colored VIPT run map every page
+	// to the same frame.
+	modes := []string{"physical", "vipt-colored", "vipt-arbitrary"}
+	type viptCell struct{ missRate, tlbMiss float64 }
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("xvipt/%s/%s", profiles[i/3].Name, modes[i%3]) },
+		Group: func(i int) int { return i / 3 },
+	}
+	cells, err := runCells(opts, 3*len(profiles), uo, func(i int) (viptCell, error) {
+		at, err := cachedData(opts, profiles[i/3])
 		if err != nil {
-			return nil, err
+			return viptCell{}, err
 		}
-		at, err := cachedData(opts, p)
+		cfg := vm.Config{PageBytes: pageBytes, ColorBits: 4, Policy: vm.Colored, Seed: 1}
+		if i%3 == 2 {
+			cfg = vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 1}
+		}
+		as, err := vm.NewAddressSpace(cfg)
 		if err != nil {
-			return nil, err
+			return viptCell{}, err
 		}
-		mkBC := func() (*core.BCache, error) {
-			return core.New(core.Config{
-				SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-				MF: 8, BAS: 8, Policy: cache.LRU,
-			})
-		}
-		// Physical reference: same frames for both VIPT runs via a
-		// shared colored address space.
-		colored, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, ColorBits: 4, Policy: vm.Colored, Seed: 1})
+		bc, err := l1Cache(opts, true)
 		if err != nil {
-			return nil, err
+			return viptCell{}, err
 		}
-		arbitrary, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 1})
-		if err != nil {
-			return nil, err
+		if i%3 == 0 {
+			for _, m := range at.accs {
+				bc.Access(as.Translate(m.Addr()), m.Write())
+			}
+			return viptCell{missRate: bc.Stats().MissRate()}, nil
 		}
-		pipt, err := mkBC()
+		tlb, err := vm.NewTLB(64)
 		if err != nil {
-			return nil, err
+			return viptCell{}, err
+		}
+		vipt, err := vm.NewVIPT(bc, as, tlb, 17)
+		if err != nil {
+			return viptCell{}, err
 		}
 		for _, m := range at.accs {
-			pipt.Access(colored.Translate(m.Addr()), m.Write())
+			vipt.Access(m.Addr(), m.Write())
 		}
-
-		var rates []float64
-		var tlbMiss float64
-		for i, as := range []*vm.AddressSpace{colored, arbitrary} {
-			bc, err := mkBC()
-			if err != nil {
-				return nil, err
-			}
-			tlb, err := vm.NewTLB(64)
-			if err != nil {
-				return nil, err
-			}
-			vipt, err := vm.NewVIPT(bc, as, tlb, 17)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range at.accs {
-				vipt.Access(m.Addr(), m.Write())
-			}
-			rates = append(rates, bc.Stats().MissRate())
-			if i == 0 {
-				tlbMiss = float64(tlb.Misses) / float64(tlb.Hits+tlb.Misses)
-			}
-		}
-		t.AddRow(name, pct(pipt.Stats().MissRate()), pct(rates[0]), pct(rates[1]), pct(tlbMiss))
+		return viptCell{bc.Stats().MissRate(), float64(tlb.Misses) / float64(tlb.Hits+tlb.Misses)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		c := cells[3*pi:]
+		t.AddRow(p.Name, pct(c[0].missRate), pct(c[1].missRate), pct(c[2].missRate), pct(c[1].tlbMiss))
 	}
 	return []*Table{t}, nil
 }
@@ -227,51 +214,64 @@ func runXRecolor(opts Opts) ([]*Table, error) {
 			"benchmark", "dm", "dm+recolor", "remaps", "2way", "bcache",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "twolf", "gcc"} {
-		p, err := workload.ByName(name)
+	profiles := namedProfiles("equake", "crafty", "twolf", "gcc")
+	// Four cells per benchmark, each on physical addresses from its own
+	// identically seeded arbitrary allocator, so every cell starts from
+	// the same placements; only dm+recolor moves pages.
+	modes := []string{"dm", "dm+recolor", "2way", "bcache"}
+	type recolorCell struct {
+		missRate float64
+		remaps   uint64
+	}
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("xrecolor/%s/%s", profiles[i/4].Name, modes[i%4]) },
+		Group: func(i int) int { return i / 4 },
+	}
+	cells, err := runCells(opts, 4*len(profiles), uo, func(i int) (recolorCell, error) {
+		at, err := cachedData(opts, profiles[i/4])
 		if err != nil {
-			return nil, err
+			return recolorCell{}, err
 		}
-		at, err := cachedData(opts, p)
+		as, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
 		if err != nil {
-			return nil, err
+			return recolorCell{}, err
 		}
-
-		// Plain DM and the B-Cache run on physical addresses from the
-		// same arbitrary allocator.
-		as1, _ := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
-		dm, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		w2, _ := cache.NewSetAssoc(opts.L1Size, opts.LineBytes, 2, cache.LRU, nil)
-		bc, _ := core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
+		var c cache.Cache
+		switch modes[i%4] {
+		case "2way":
+			c, err = cache.NewSetAssoc(opts.L1Size, opts.LineBytes, 2, cache.LRU, nil)
+		default:
+			c, err = l1Cache(opts, modes[i%4] == "bcache")
+		}
+		if err != nil {
+			return recolorCell{}, err
+		}
+		if modes[i%4] != "dm+recolor" {
+			for _, m := range at.accs {
+				c.Access(as.Translate(m.Addr()), m.Write())
+			}
+			return recolorCell{missRate: c.Stats().MissRate()}, nil
+		}
+		rc, err := vm.NewRecolorer(as, opts.L1Size, 24)
+		if err != nil {
+			return recolorCell{}, err
+		}
 		for _, m := range at.accs {
-			pa := as1.Translate(m.Addr())
-			dm.Access(pa, m.Write())
-			w2.Access(pa, m.Write())
-			bc.Access(pa, m.Write())
-		}
-
-		// DM plus the recoloring policy (fresh, identically-seeded
-		// address space so initial placements match).
-		as2, _ := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
-		rc, err := vm.NewRecolorer(as2, opts.L1Size, 24)
-		if err != nil {
-			return nil, err
-		}
-		dmRC, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		for _, m := range at.accs {
-			pa := as2.Translate(m.Addr())
+			pa := as.Translate(m.Addr())
 			rc.Note(m.Addr(), pa)
-			if !dmRC.Access(pa, m.Write()).Hit {
+			if !c.Access(pa, m.Write()).Hit {
 				rc.OnMiss(pa)
 			}
 		}
-
-		t.AddRow(name,
-			pct(dm.Stats().MissRate()),
-			pct(dmRC.Stats().MissRate()),
-			fmt.Sprintf("%d", rc.Remaps),
-			pct(w2.Stats().MissRate()),
-			pct(bc.Stats().MissRate()))
+		return recolorCell{c.Stats().MissRate(), rc.Remaps}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		c := cells[4*pi:]
+		t.AddRow(p.Name, pct(c[0].missRate), pct(c[1].missRate), fmt.Sprintf("%d", c[1].remaps),
+			pct(c[2].missRate), pct(c[3].missRate))
 	}
 	return []*Table{t}, nil
 }
@@ -289,37 +289,36 @@ func runXDrowsy(opts Opts) ([]*Table, error) {
 			"benchmark", "dm-drowsy", "bc-drowsy", "dm-static-factor", "bc-static-factor",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "art", "mcf", "gcc"} {
-		p, err := workload.ByName(name)
+	profiles := namedProfiles("equake", "crafty", "art", "mcf", "gcc")
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("xdrowsy/%s/%s", profiles[i/2].Name, dmBC[i%2]) },
+		Group: func(i int) int { return i / 2 },
+	}
+	fracs, err := runCells(opts, 2*len(profiles), uo, func(i int) (float64, error) {
+		at, err := cachedData(opts, profiles[i/2])
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		at, err := cachedData(opts, p)
+		c, err := l1Cache(opts, i%2 == 1)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		measure := func(c cache.Cache) (float64, error) {
-			d, err := stats.NewDrowsyTracker(c.Geometry().Frames, window)
-			if err != nil {
-				return 0, err
-			}
-			for _, m := range at.accs {
-				r := c.Access(m.Addr(), m.Write())
-				d.Touch(r.Frame)
-			}
-			return d.DrowsyFraction(), nil
-		}
-		dm, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		bc, _ := core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-		fDM, err := measure(dm)
+		d, err := stats.NewDrowsyTracker(c.Geometry().Frames, window)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		fBC, err := measure(bc)
-		if err != nil {
-			return nil, err
+		for _, m := range at.accs {
+			r := c.Access(m.Addr(), m.Write())
+			d.Touch(r.Frame)
 		}
-		t.AddRow(name, pct(fDM), pct(fBC),
+		return d.DrowsyFraction(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		fDM, fBC := fracs[2*pi], fracs[2*pi+1]
+		t.AddRow(p.Name, pct(fDM), pct(fBC),
 			f3(energy.DrowsyStaticFactor(fDM)), f3(energy.DrowsyStaticFactor(fBC)))
 	}
 	return []*Table{t}, nil
@@ -345,48 +344,75 @@ func runX3C(opts Opts) ([]*Table, error) {
 			"benchmark", "cfg", "compulsory", "capacity", "conflict", "total-miss",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "gcc", "art", "mcf", "wupwise"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
+	profiles := namedProfiles("equake", "crafty", "gcc", "art", "mcf", "wupwise")
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("x3c/%s/%s", profiles[i/2].Name, dmBC[i%2]) },
+		Group: func(i int) int { return i / 2 },
+	}
+	counts, err := runCells(opts, 2*len(profiles), uo, func(i int) (threec.Counts, error) {
+		return threeC(opts, profiles[i/2], i%2 == 1)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range counts {
+		name := ""
+		if i%2 == 0 {
+			name = profiles[i/2].Name // only label the first row of the pair
 		}
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, err
-		}
-		decompose := func(under cache.Cache) (threec.Counts, error) {
-			cl, err := threec.New(under)
-			if err != nil {
-				return threec.Counts{}, err
-			}
-			for _, m := range at.accs {
-				cl.Access(m.Addr(), m.Write())
-			}
-			return cl.Counts(), nil
-		}
-		dm, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		bc, _ := core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-		cDM, err := decompose(dm)
-		if err != nil {
-			return nil, err
-		}
-		cBC, err := decompose(bc)
-		if err != nil {
-			return nil, err
-		}
-		row := func(cfg string, c threec.Counts) {
-			n := float64(c.Accesses())
-			t.AddRow(name, cfg,
-				pct(float64(c.Compulsory)/n),
-				pct(float64(c.Capacity)/n),
-				pct(float64(c.Conflict)/n),
-				pct(float64(c.Misses())/n))
-			name = "" // only label the first row of the pair
-		}
-		row("dm", cDM)
-		row("bc", cBC)
+		n := float64(c.Accesses())
+		t.AddRow(name, dmBC[i%2],
+			pct(float64(c.Compulsory)/n),
+			pct(float64(c.Capacity)/n),
+			pct(float64(c.Conflict)/n),
+			pct(float64(c.Misses())/n))
 	}
 	return []*Table{t}, nil
+}
+
+// threeC classifies every D$ miss of p under the baseline or the
+// B-Cache as compulsory, capacity or conflict.
+func threeC(opts Opts, p *workload.Profile, bcache bool) (threec.Counts, error) {
+	at, err := cachedData(opts, p)
+	if err != nil {
+		return threec.Counts{}, err
+	}
+	c, err := l1Cache(opts, bcache)
+	if err != nil {
+		return threec.Counts{}, err
+	}
+	cl, err := threec.New(c)
+	if err != nil {
+		return threec.Counts{}, err
+	}
+	for _, m := range at.accs {
+		cl.Access(m.Addr(), m.Write())
+	}
+	return cl.Counts(), nil
+}
+
+// runIPC simulates rt on the processor cc with both L1s built by
+// l1Cache and the unified L2 l2 (nil = hc's conventional one).
+func runIPC(opts Opts, rt *recordTrace, bcache bool, l2 cache.Cache, hc hier.Config, cc cpu.Config) (cpu.Result, *hier.Hierarchy, error) {
+	ic, err := l1Cache(opts, bcache)
+	if err != nil {
+		return cpu.Result{}, nil, err
+	}
+	dc, err := l1Cache(opts, bcache)
+	if err != nil {
+		return cpu.Result{}, nil, err
+	}
+	var h *hier.Hierarchy
+	if l2 == nil {
+		h, err = hier.New(ic, dc, hc)
+	} else {
+		h, err = hier.NewWithL2(ic, dc, l2, hc)
+	}
+	if err != nil {
+		return cpu.Result{}, nil, err
+	}
+	res, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cc, opts.Instructions)
+	return res, h, err
 }
 
 func init() {
@@ -413,62 +439,43 @@ func runXPrefetch(opts Opts) ([]*Table, error) {
 			"benchmark", "dm", "dm+sb", "bc", "bc+sb", "sb-hit-rate",
 		},
 	}
-	for _, name := range []string{"art", "swim", "equake", "crafty", "mcf"} {
-		p, err := workload.ByName(name)
+	profiles := namedProfiles("art", "swim", "equake", "crafty", "mcf")
+	// Four cells per benchmark: dm, dm+sb, bc, bc+sb (bit 1 = B-Cache,
+	// bit 0 = stream buffer), all replaying the benchmark's record trace.
+	modes := []string{"dm", "dm+sb", "bc", "bc+sb"}
+	type prefetchCell struct{ ipc, sbRate float64 }
+	held := make([]heldTrace, len(profiles))
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("xprefetch/%s/%s", profiles[i/4].Name, modes[i%4]) },
+		Group: func(i int) int { return i / 4 },
+	}
+	cells, err := runCells(opts, 4*len(profiles), uo, func(i int) (prefetchCell, error) {
+		pi := i / 4
+		defer held[pi].release(i, 4)
+		rt, err := held[pi].get(opts, profiles[pi])
 		if err != nil {
-			return nil, err
+			return prefetchCell{}, err
 		}
-		run := func(useBC, useSB bool) (cpu.Result, *hier.Hierarchy, error) {
-			mk := func() (cache.Cache, error) {
-				if useBC {
-					return core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-				}
-				return cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-			}
-			ic, err := mk()
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			dc, err := mk()
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			cfg := hier.Defaults()
-			if useSB {
-				cfg.StreamBuffer = 8
-			}
-			h, err := hier.New(ic, dc, cfg)
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			rt, err := cachedRecords(opts, p)
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			res, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cpu.Defaults(), opts.Instructions)
-			return res, h, err
+		hc := hier.Defaults()
+		if i&1 != 0 {
+			hc.StreamBuffer = 8
 		}
-		dm, _, err := run(false, false)
+		res, h, err := runIPC(opts, rt, i&2 != 0, nil, hc, cpu.Defaults())
 		if err != nil {
-			return nil, err
+			return prefetchCell{}, err
 		}
-		dmSB, hSB, err := run(false, true)
-		if err != nil {
-			return nil, err
+		c := prefetchCell{ipc: res.IPC()}
+		if h.Prefetches > 0 {
+			c.sbRate = float64(h.StreamHits) / float64(h.Prefetches)
 		}
-		bc, _, err := run(true, false)
-		if err != nil {
-			return nil, err
-		}
-		bcSB, _, err := run(true, true)
-		if err != nil {
-			return nil, err
-		}
-		sbRate := 0.0
-		if hSB.Prefetches > 0 {
-			sbRate = float64(hSB.StreamHits) / float64(hSB.Prefetches)
-		}
-		t.AddRow(name, f3(dm.IPC()), f3(dmSB.IPC()), f3(bc.IPC()), f3(bcSB.IPC()), pct(sbRate))
+		return c, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		c := cells[4*pi:]
+		t.AddRow(p.Name, f3(c[0].ipc), f3(c[1].ipc), f3(c[2].ipc), f3(c[3].ipc), pct(c[1].sbRate))
 	}
 	return []*Table{t}, nil
 }
@@ -497,56 +504,46 @@ func runXL2(opts Opts) ([]*Table, error) {
 		},
 	}
 	cfg := hier.Defaults()
-	for _, name := range []string{"mcf", "gcc", "equake", "ammp"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		run := func(mk func() (cache.Cache, error)) (float64, error) {
-			ic, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-			if err != nil {
-				return 0, err
-			}
-			dc, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-			if err != nil {
-				return 0, err
-			}
-			l2, err := mk()
-			if err != nil {
-				return 0, err
-			}
-			h, err := hier.NewWithL2(ic, dc, l2, cfg)
-			if err != nil {
-				return 0, err
-			}
-			rt, err := cachedRecords(opts, p)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cpu.Defaults(), opts.Instructions); err != nil {
-				return 0, err
-			}
-			return l2.Stats().MissRate(), nil
-		}
-		dm, err := run(func() (cache.Cache, error) {
-			return cache.NewDirectMapped(cfg.L2Size, cfg.L2Line)
-		})
-		if err != nil {
-			return nil, err
-		}
-		bc, err := run(func() (cache.Cache, error) {
+	l2s := []struct {
+		name string
+		mk   func() (cache.Cache, error)
+	}{
+		{"dm-l2", func() (cache.Cache, error) { return cache.NewDirectMapped(cfg.L2Size, cfg.L2Line) }},
+		{"bcache-l2", func() (cache.Cache, error) {
 			return core.New(core.Config{SizeBytes: cfg.L2Size, LineBytes: cfg.L2Line, MF: 8, BAS: 8, Policy: cache.LRU})
-		})
-		if err != nil {
-			return nil, err
-		}
-		w4, err := run(func() (cache.Cache, error) {
+		}},
+		{"4way-l2", func() (cache.Cache, error) {
 			return cache.NewSetAssoc(cfg.L2Size, cfg.L2Line, cfg.L2Ways, cache.LRU, nil)
-		})
+		}},
+	}
+	profiles := namedProfiles("mcf", "gcc", "equake", "ammp")
+	held := make([]heldTrace, len(profiles))
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("xl2/%s/%s", profiles[i/3].Name, l2s[i%3].name) },
+		Group: func(i int) int { return i / 3 },
+	}
+	rates, err := runCells(opts, 3*len(profiles), uo, func(i int) (float64, error) {
+		pi := i / 3
+		defer held[pi].release(i, 3)
+		rt, err := held[pi].get(opts, profiles[pi])
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		t.AddRow(name, pct(dm), pct(bc), pct(w4))
+		l2, err := l2s[i%3].mk()
+		if err != nil {
+			return 0, err
+		}
+		if _, _, err := runIPC(opts, rt, false, l2, cfg, cpu.Defaults()); err != nil {
+			return 0, err
+		}
+		return l2.Stats().MissRate(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		r := rates[3*pi:]
+		t.AddRow(p.Name, pct(r[0]), pct(r[1]), pct(r[2]))
 	}
 	return []*Table{t}, nil
 }
@@ -631,50 +628,34 @@ func runXWindow(opts Opts) ([]*Table, error) {
 			"window", "dm-IPC", "bc-IPC", "bc-gain",
 		},
 	}
-	p, err := workload.ByName("equake")
+	p := namedProfiles("equake")[0]
+	windows := []int{8, 16, 32, 64}
+	// Two cells per window, dm then bc, all in one group replaying
+	// equake's record trace.
+	var held heldTrace
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("xwindow/%d/%s", windows[i/2], dmBC[i%2]) },
+		Group: func(int) int { return 0 },
+	}
+	ipcs, err := runCells(opts, 2*len(windows), uo, func(i int) (float64, error) {
+		defer held.release(i, 2*len(windows))
+		rt, err := held.get(opts, p)
+		if err != nil {
+			return 0, err
+		}
+		cc := cpu.Defaults()
+		cc.Window = windows[i/2]
+		res, _, err := runIPC(opts, rt, i%2 == 1, nil, hier.Defaults(), cc)
+		if err != nil {
+			return 0, err
+		}
+		return res.IPC(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, window := range []int{8, 16, 32, 64} {
-		run := func(useBC bool) (float64, error) {
-			mk := func() (cache.Cache, error) {
-				if useBC {
-					return core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-				}
-				return cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-			}
-			ic, err := mk()
-			if err != nil {
-				return 0, err
-			}
-			dc, err := mk()
-			if err != nil {
-				return 0, err
-			}
-			h, err := hier.New(ic, dc, hier.Defaults())
-			if err != nil {
-				return 0, err
-			}
-			rt, err := cachedRecords(opts, p)
-			if err != nil {
-				return 0, err
-			}
-			cfg := cpu.Defaults()
-			cfg.Window = window
-			res, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cfg, opts.Instructions)
-			if err != nil {
-				return 0, err
-			}
-			return res.IPC(), nil
-		}
-		dm, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		bc, err := run(true)
-		if err != nil {
-			return nil, err
-		}
+	for wi, window := range windows {
+		dm, bc := ipcs[2*wi], ipcs[2*wi+1]
 		t.AddRow(fmt.Sprintf("%d", window), f3(dm), f3(bc), pct(bc/dm-1))
 	}
 	return []*Table{t}, nil

@@ -5,7 +5,6 @@ import (
 
 	"bcache/internal/core"
 	"bcache/internal/fault"
-	"bcache/internal/workload"
 )
 
 // The fault campaign measures what the paper's evaluation never had to:
@@ -37,20 +36,6 @@ var faultGeometries = []struct{ mf, bas int }{
 // against.
 var faultRates = []float64{0, 1e-5, 1e-4, 1e-3}
 
-// faultProfiles returns the benchmarks the campaign replays (a
-// conflict-heavy trio, so decoder damage shows up in the miss rate).
-func faultProfiles() ([]*workload.Profile, error) {
-	var out []*workload.Profile
-	for _, name := range []string{"equake", "crafty", "gcc"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // campaignSeed derives the deterministic injection seed of one
 // (row, profile) cell; the golden-ratio multiplier keeps streams apart.
 func campaignSeed(row, profile int) uint64 {
@@ -73,10 +58,8 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	profiles, err := faultProfiles()
-	if err != nil {
-		return nil, err
-	}
+	// A conflict-heavy trio, so decoder damage shows up in the miss rate.
+	profiles := namedProfiles("equake", "crafty", "gcc")
 
 	type rowCfg struct {
 		mf, bas int
@@ -97,10 +80,7 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 		}
 	}
 
-	cells := make([]faultCell, len(rows)*len(profiles))
 	uo := unitOpts{
-		Timeout: opts.UnitTimeout,
-		Retries: opts.UnitRetries,
 		Label: func(i int) string {
 			r := rows[i/len(profiles)]
 			return fmt.Sprintf("fault/%s/MF%d-BAS%d-r%g-%s",
@@ -109,20 +89,20 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 		// Every row of one profile replays its data stream.
 		Group: func(i int) int { return i % len(profiles) },
 	}
-	err = runUnitsCtl(len(cells), opts.workers(), uo, func(i int) (func(), error) {
+	cells, err := runCells(opts, len(rows)*len(profiles), uo, func(i int) (faultCell, error) {
 		r := rows[i/len(profiles)]
 		pi := i % len(profiles)
-		p := profiles[pi]
-		at, err := cachedData(opts, p)
+		var cell faultCell
+		at, err := cachedData(opts, profiles[pi])
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return cell, err
 		}
 		bc, err := core.New(core.Config{
 			SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
 			MF: r.mf, BAS: r.bas,
 		})
 		if err != nil {
-			return nil, err
+			return cell, err
 		}
 		in, err := fault.Wrap(bc, fault.Config{
 			Rate:       r.rate,
@@ -131,10 +111,9 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 			ScrubEvery: 4096,
 		})
 		if err != nil {
-			return nil, err
+			return cell, err
 		}
 		replayData(at.accs, in)
-		var cell faultCell
 		invErr := in.FinalScrub()
 		st := in.Stats()
 		cell.misses, cell.accesses = st.Misses, st.Accesses
@@ -146,7 +125,7 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 		if invErr != nil && !in.Degraded() {
 			cell.invariant = invErr.Error()
 		}
-		return func() { cells[i] = cell }, nil
+		return cell, nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,10 +1,7 @@
 package experiment
 
 import (
-	"fmt"
-
 	"bcache/internal/cache"
-	"bcache/internal/core"
 	"bcache/internal/workload"
 )
 
@@ -17,21 +14,29 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fig3",
-		Title: "wupwise D$ miss rate and PD hit rate vs MF (BAS=8, 16kB)",
-		Run:   runFig3,
+		ID:     "fig3",
+		Title:  "wupwise D$ miss rate and PD hit rate vs MF (BAS=8, 16kB)",
+		Run:    runFig3,
+		Sweeps: fig3Sweeps,
 	})
 }
 
+// fig3Sweeps: wupwise's D$ at BAS=8 and MF 2..512, canonical seed only.
+// MF2..MF16 are Figure 4's units, served from the result store when
+// fig4 has run.
+func fig3Sweeps(opts Opts) []sweep {
+	o := opts
+	o.Seeds = 1
+	var specs []Spec
+	for mf := 2; mf <= 512; mf *= 2 {
+		specs = append(specs, bcacheSpec(mf, 8, cache.LRU))
+	}
+	return []sweep{{o, namedProfiles("wupwise"), specs, dSide}}
+}
+
 func runFig3(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	p, err := workload.ByName("wupwise")
-	if err != nil {
-		return nil, err
-	}
-	at, err := cachedData(opts, p)
+	sw := fig3Sweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 	if err != nil {
 		return nil, err
 	}
@@ -41,18 +46,24 @@ func runFig3(opts Opts) ([]*Table, error) {
 		Note:    "BAS=8, LRU; the sharp PD-hit-rate drop marks where MF exceeds the benchmark's tag-collision stride",
 		Headers: []string{"MF", "miss-rate", "pd-hit-rate"},
 	}
-	for mf := 2; mf <= 512; mf *= 2 {
-		bc, err := core.New(core.Config{
-			SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-			MF: mf, BAS: 8, Policy: cache.LRU,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("MF=%d: %w", mf, err)
-		}
-		replayData(at.accs, bc)
-		t.AddRow(fmt.Sprintf("MF%d", mf),
-			pct(bc.Stats().MissRate()),
-			pct(bc.PDStats().HitRateDuringMiss()))
+	row := res["wupwise"]
+	for _, s := range sw.specs {
+		r := row[s.Name]
+		t.AddRow(s.Name, pct(r.missRate), pct(r.pdHitDuringMiss))
 	}
 	return []*Table{t}, nil
+}
+
+// namedProfiles returns the compiled-in benchmarks of the given names;
+// an unknown name is a programming error.
+func namedProfiles(names ...string) []*workload.Profile {
+	out := make([]*workload.Profile, len(names))
+	for i, name := range names {
+		p, err := workload.ByName(name)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = p
+	}
+	return out
 }

@@ -309,15 +309,19 @@ func multiUnwrap(err error) []error {
 	return []error{err}
 }
 
-// TestForEachProfileWrapsName: errors carry the failing profile's name.
-func TestForEachProfileWrapsName(t *testing.T) {
+// TestRunCellsWrapsLabel: runCells returns the cells in index order
+// and prefixes a failing cell's error with its label.
+func TestRunCellsWrapsLabel(t *testing.T) {
 	profiles := workload.All()
 	boom := errors.New("boom")
-	err := forEachProfile(profiles, 2, func(p *workload.Profile) error {
-		if p.Name == profiles[0].Name {
-			return boom
+	uo := unitOpts{Label: func(i int) string { return profiles[i].Name }}
+	opts := tinyOpts()
+	opts.Workers = 2
+	names, err := runCells(opts, len(profiles), uo, func(i int) (string, error) {
+		if i == 0 {
+			return "", boom
 		}
-		return nil
+		return profiles[i].Name, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want wrapped %v", err, boom)
@@ -331,5 +335,13 @@ func TestForEachProfileWrapsName(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("error %q does not name the failing profile (%q)", err, want)
+	}
+	for i, p := range profiles[1:] {
+		if names[i+1] != p.Name {
+			t.Fatalf("cell %d = %q, want %q (index order)", i+1, names[i+1], p.Name)
+		}
+	}
+	if names[0] != "" {
+		t.Fatalf("failed cell holds %q, want the zero value", names[0])
 	}
 }

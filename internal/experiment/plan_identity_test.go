@@ -55,7 +55,7 @@ func TestMissRatesCheckpointsEveryProfiledSpec(t *testing.T) {
 // planned keys — the Run functions and PlanCampaign read the same
 // sweeps, which is what makes the distributed merge bit-identical.
 func TestPlanCoversSequentialCheckpoint(t *testing.T) {
-	for _, id := range []string{"fig4", "fig5", "fig12", "table5", "table6", "xline"} {
+	for _, id := range []string{"fig3", "fig4", "fig5", "fig12", "table5", "table6", "xline", "xrelated"} {
 		t.Run(id, func(t *testing.T) {
 			opts := tinyPlanOpts()
 			e, err := ByID(id)

@@ -256,6 +256,9 @@ type missRun struct {
 	// misses, computed once from the summed counters so seeds with
 	// unequal miss counts carry their true weight.
 	pdHitDuringMiss float64
+	// extra is the hit latency beyond one cycle, summed over hits and
+	// seeds (UnitResult.Extra).
+	extra uint64
 }
 
 // unitKey names one (side, scale, spec, seed, profile) work unit in the
@@ -265,9 +268,10 @@ type missRun struct {
 // configuration key (Spec.key), not its display name, so experiments
 // that render the same configuration under different column names share
 // one simulation. v2: specs are keyed canonically (v1 used display
-// names).
+// names). v3: results carry Extra, so a v2 record, which lacks it, can
+// never serve a unit.
 func unitKey(opts Opts, s side, specKey string, seedIdx int, profile string) string {
-	return fmt.Sprintf("v2|side=%d|n=%d|size=%d|line=%d|spec=%s|seed=%d|prof=%s",
+	return fmt.Sprintf("v3|side=%d|n=%d|size=%d|line=%d|spec=%s|seed=%d|prof=%s",
 		s, opts.Instructions, opts.L1Size, opts.LineBytes, specKey, seedIdx, profile)
 }
 
@@ -316,16 +320,29 @@ func profileLRU(feed func(*stackdist.Profile), opts Opts, all []Spec, lru []int)
 		if err != nil {
 			return nil, err
 		}
+		// An LRU set-associative hit costs no extra latency: Extra is 0.
 		out[x] = UnitResult{Misses: misses, Accesses: prof.Accesses()}
 	}
 	return out, nil
 }
 
+// extraLatencySummer is implemented by the engines some of whose hits
+// cost cycles beyond the base hit time (victim buffer, column-
+// associative, PSA, AGAC, PAM): ExtraLatencySum is Result.ExtraLatency
+// summed over every access so far. Every other engine reports 0 on
+// every access. Replay units read the total from the engine because
+// reading ExtraLatency off every Result spills the six-field struct on
+// each access, which slowed the B-Cache replay loop by about a fifth.
+type extraLatencySummer interface {
+	ExtraLatencySum() uint64
+}
+
 // execReplayUnit runs one (profile, seed, spec) replay: materialize (or
 // fetch) the trace, build the cache, replay the side, and return the raw
-// counters. Every planned replay unit runs through it, in-process
-// (missRates) or in a worker subprocess (Plan.Execute), so both compute
-// bit-identical counters.
+// counters, including the extra hit latency summed over hits. Every
+// planned replay unit runs through it, in-process (missRates) or in a
+// worker subprocess (Plan.Execute), so both compute bit-identical
+// counters.
 func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (UnitResult, error) {
 	c, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
@@ -352,6 +369,9 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (U
 	if bc, ok := c.(*core.BCache); ok {
 		pd := bc.PDStats()
 		u.PDHit, u.PDMiss = pd.MissPDHit, pd.MissPDMiss
+	}
+	if x, ok := c.(extraLatencySummer); ok {
+		u.Extra = x.ExtraLatencySum()
 	}
 	return u, nil
 }
@@ -483,6 +503,7 @@ func missRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) (m
 				r.accesses += u.Accesses
 				r.pdHit += u.PDHit
 				r.pdMiss += u.PDMiss
+				r.extra += u.Extra
 			}
 			if r.accesses > 0 {
 				r.missRate = float64(r.misses) / float64(r.accesses)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bcache/internal/obs/tracespan"
-	"bcache/internal/workload"
 )
 
 // The scheduler is the suite's crash boundary. A multi-hour campaign must
@@ -353,17 +352,24 @@ func protectUnit(i int, fn func(int) (func(), error)) (commit func(), err error)
 	return fn(i)
 }
 
-// forEachProfile runs fn over profiles with bounded parallelism.
-// Experiments whose work does not decompose further use this; the
-// miss-rate and timed paths schedule finer units directly. fn both
-// computes and stores its result, which is safe because without a
-// deadline no call is ever abandoned.
-func forEachProfile(profiles []*workload.Profile, workers int, fn func(*workload.Profile) error) error {
-	uo := unitOpts{Label: func(i int) string { return profiles[i].Name }}
-	return runUnitsCtl(len(profiles), workers, uo, func(i int) (func(), error) {
-		if err := fn(profiles[i]); err != nil {
-			return nil, fmt.Errorf("%s: %w", profiles[i].Name, err)
+// runCells runs cell(i) for every i in [0, n) as scheduled units under
+// opts's worker count, unit deadline and retry budget, and returns the
+// cells' results in index order. uo supplies the telemetry label and
+// the trace group; a failing cell's error is prefixed with its label
+// when uo has one. A cell that failed or was never claimed leaves its
+// zero value, alongside the joined error.
+func runCells[T any](opts Opts, n int, uo unitOpts, cell func(i int) (T, error)) ([]T, error) {
+	uo.Timeout, uo.Retries = opts.UnitTimeout, opts.UnitRetries
+	out := make([]T, n)
+	err := runUnitsCtl(n, opts.workers(), uo, func(i int) (func(), error) {
+		v, err := cell(i)
+		if err != nil {
+			if uo.Label != nil {
+				err = fmt.Errorf("%s: %w", uo.Label(i), err)
+			}
+			return nil, err
 		}
-		return nil, nil
+		return func() { out[i] = v }, nil
 	})
+	return out, err
 }

@@ -1,8 +1,8 @@
 package experiment
 
 import (
-	"bcache/internal/cache"
-	"bcache/internal/core"
+	"fmt"
+
 	"bcache/internal/stats"
 	"bcache/internal/workload"
 )
@@ -34,60 +34,41 @@ func runTable7(opts Opts) ([]*Table, error) {
 			"benchmark", "cfg", "fhs", "ch", "fms", "cm", "las", "tca",
 		},
 	}
-	type rowPair struct {
-		name   string
-		dm, bc stats.Balance
+	// Two cells per benchmark, the baseline then the B-Cache, both
+	// replaying the benchmark's data stream.
+	uo := unitOpts{
+		Label: func(i int) string { return fmt.Sprintf("table7/%s/%s", all[i/2].Name, dmBC[i%2]) },
+		Group: func(i int) int { return i / 2 },
 	}
-	rows := make([]rowPair, len(all))
-	err := forEachProfile(all, opts.workers(), func(p *workload.Profile) error {
-		at, err := cachedData(opts, p)
+	cells, err := runCells(opts, 2*len(all), uo, func(i int) (stats.Balance, error) {
+		at, err := cachedData(opts, all[i/2])
 		if err != nil {
-			return err
+			return stats.Balance{}, err
 		}
-		dm, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
+		c, err := l1Cache(opts, i%2 == 1)
 		if err != nil {
-			return err
+			return stats.Balance{}, err
 		}
-		bc, err := core.New(core.Config{
-			SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-			MF: 8, BAS: 8, Policy: cache.LRU,
-		})
-		if err != nil {
-			return err
-		}
-		replayData(at.accs, dm)
-		replayData(at.accs, bc)
-		bdm, err := stats.Analyze(dm.Stats())
-		if err != nil {
-			return err
-		}
-		bbc, err := stats.Analyze(bc.Stats())
-		if err != nil {
-			return err
-		}
-		for i, q := range all {
-			if q.Name == p.Name {
-				rows[i] = rowPair{p.Name, bdm, bbc}
-			}
-		}
-		return nil
+		replayData(at.accs, c)
+		return stats.Analyze(c.Stats())
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	var sumDM, sumBC stats.Balance
-	for _, r := range rows {
-		addBalance(&sumDM, r.dm)
-		addBalance(&sumBC, r.bc)
-		t.AddRow(r.name, "dm", pct(r.dm.FreqHitSets), pct(r.dm.HitsInFreqSets),
-			pct(r.dm.FreqMissSets), pct(r.dm.MissesInFreqSets),
-			pct(r.dm.LessAccessedSets), pct(r.dm.AccessesInLessSets))
-		t.AddRow("", "bc", pct(r.bc.FreqHitSets), pct(r.bc.HitsInFreqSets),
-			pct(r.bc.FreqMissSets), pct(r.bc.MissesInFreqSets),
-			pct(r.bc.LessAccessedSets), pct(r.bc.AccessesInLessSets))
+	for pi, p := range all {
+		dm, bc := cells[2*pi], cells[2*pi+1]
+		addBalance(&sumDM, dm)
+		addBalance(&sumBC, bc)
+		t.AddRow(p.Name, "dm", pct(dm.FreqHitSets), pct(dm.HitsInFreqSets),
+			pct(dm.FreqMissSets), pct(dm.MissesInFreqSets),
+			pct(dm.LessAccessedSets), pct(dm.AccessesInLessSets))
+		t.AddRow("", "bc", pct(bc.FreqHitSets), pct(bc.HitsInFreqSets),
+			pct(bc.FreqMissSets), pct(bc.MissesInFreqSets),
+			pct(bc.LessAccessedSets), pct(bc.AccessesInLessSets))
 	}
-	n := float64(len(rows))
+	n := float64(len(all))
 	scaleBalance(&sumDM, 1/n)
 	scaleBalance(&sumBC, 1/n)
 	t.AddRow("Ave", "dm", pct(sumDM.FreqHitSets), pct(sumDM.HitsInFreqSets),

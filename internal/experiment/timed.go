@@ -162,7 +162,6 @@ func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, e
 	}
 	all := append([]Spec{baselineSpec()}, specs...)
 	profiles := workload.All()
-	runs := make([]timedRun, len(profiles)*len(all))
 	held := make([]heldTrace, len(profiles))
 	uo := unitOpts{
 		Label: func(i int) string {
@@ -171,19 +170,14 @@ func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, e
 		// Every configuration of one profile replays its record trace.
 		Group: func(i int) int { return i / len(all) },
 	}
-	err := runUnitsCtl(len(runs), opts.workers(), uo, func(i int) (func(), error) {
-		pi, spec := i/len(all), all[i%len(all)]
-		p := profiles[pi]
-		defer held[pi].release(len(all))
-		rt, err := held[pi].get(opts, p)
+	runs, err := runCells(opts, len(profiles)*len(all), uo, func(i int) (timedRun, error) {
+		pi := i / len(all)
+		defer held[pi].release(i, len(all))
+		rt, err := held[pi].get(opts, profiles[pi])
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
+			return timedRun{}, err
 		}
-		r, err := runTimed(rt, spec, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
-		}
-		return func() { runs[i] = r }, nil
+		return runTimed(rt, all[i%len(all)], opts)
 	})
 	if err != nil {
 		return nil, err
@@ -207,7 +201,7 @@ func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, e
 type heldTrace struct {
 	mu    sync.Mutex
 	rt    *recordTrace // guarded by mu
-	ended int          // guarded by mu
+	ended map[int]bool // guarded by mu: the group's units that have ended
 }
 
 // get returns the group's record trace, fetching it on first use. Units
@@ -229,12 +223,18 @@ func (h *heldTrace) get(opts Opts, p *workload.Profile) (*recordTrace, error) {
 	return rt, nil
 }
 
-// release marks one of the group's units ended; the last of size drops
-// the trace.
-func (h *heldTrace) release(size int) {
+// release marks the group's unit ended; once all size units have ended
+// the trace is dropped. A unit counts once however many attempts it
+// took, so a retried unit cannot drop the trace while siblings still
+// need it.
+func (h *heldTrace) release(unit, size int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.ended++; h.ended == size {
+	if h.ended == nil {
+		h.ended = make(map[int]bool, size)
+	}
+	h.ended[unit] = true
+	if len(h.ended) == size {
 		h.rt = nil
 	}
 }

@@ -6,12 +6,8 @@ import (
 	"strings"
 
 	"bcache/internal/area"
-	"bcache/internal/cache"
-	"bcache/internal/core"
 	"bcache/internal/energy"
-	"bcache/internal/threec"
 	"bcache/internal/timing"
-	"bcache/internal/workload"
 )
 
 // A Check is one machine-verifiable claim from the paper. Running all of
@@ -132,30 +128,14 @@ func Verify(opts Opts, w io.Writer) (passed, failed int, err error) {
 // ---- individual checks ----
 
 func checkFig3Cliff(opts Opts) (string, bool, error) {
-	p, err := workload.ByName("wupwise")
+	sw := fig3Sweeps(opts)[0]
+	res, err := missRates(sw.opts, sw.profiles, sw.specs, sw.side)
 	if err != nil {
 		return "", false, err
 	}
-	at, err := cachedData(opts, p)
-	if err != nil {
-		return "", false, err
-	}
-	rate := func(mf int) (float64, float64, error) {
-		bc, err := core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: mf, BAS: 8, Policy: cache.LRU})
-		if err != nil {
-			return 0, 0, err
-		}
-		replayData(at.accs, bc)
-		return bc.Stats().MissRate(), bc.PDStats().HitRateDuringMiss(), nil
-	}
-	m32, pd32, err := rate(32)
-	if err != nil {
-		return "", false, err
-	}
-	m64, pd64, err := rate(64)
-	if err != nil {
-		return "", false, err
-	}
+	r32, r64 := res["wupwise"]["MF32"], res["wupwise"]["MF64"]
+	m32, pd32 := r32.missRate, r32.pdHitDuringMiss
+	m64, pd64 := r64.missRate, r64.pdHitDuringMiss
 	msg := fmt.Sprintf("PD hit on miss %.0f%%→%.0f%%, miss %.1f%%→%.1f%% across MF 32→64",
 		100*pd32, 100*pd64, 100*m32, 100*m64)
 	return msg, pd32 > 0.4 && pd64 < 0.2 && m64 < m32, nil
@@ -319,31 +299,12 @@ func checkTable7(opts Opts) (string, bool, error) {
 }
 
 func check3C(opts Opts) (string, bool, error) {
-	p, err := workload.ByName("equake")
+	p := namedProfiles("equake")[0]
+	cDM, err := threeC(opts, p, false)
 	if err != nil {
 		return "", false, err
 	}
-	at, err := cachedData(opts, p)
-	if err != nil {
-		return "", false, err
-	}
-	run := func(c cache.Cache) (threec.Counts, error) {
-		cl, err := threec.New(c)
-		if err != nil {
-			return threec.Counts{}, err
-		}
-		for _, m := range at.accs {
-			cl.Access(m.Addr(), m.Write())
-		}
-		return cl.Counts(), nil
-	}
-	dm, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-	bcU, _ := core.New(paperBCacheConfig(opts))
-	cDM, err := run(dm)
-	if err != nil {
-		return "", false, err
-	}
-	cBC, err := run(bcU)
+	cBC, err := threeC(opts, p, true)
 	if err != nil {
 		return "", false, err
 	}

@@ -178,6 +178,11 @@ func (c *Cache) Name() string {
 	return fmt.Sprintf("%dkB-dm+victim%d", c.main.Geometry().SizeBytes/1024, c.entries)
 }
 
+// ExtraLatencySum returns cache.Result.ExtraLatency summed over every
+// access since construction or the last Reset: each buffer hit
+// costs one extra cycle.
+func (c *Cache) ExtraLatencySum() uint64 { return c.BufferHits }
+
 // Reset implements cache.Cache.
 func (c *Cache) Reset() {
 	c.main.Reset()
